@@ -6,10 +6,11 @@
 //	Placement Selector -> Placement Expansion -> BDIO -> Resolve Overlaps ->
 //	Store Placement -> Accept New Placement? -> Perturb (or Restore)
 //
-// Every explored placement is resolved and stored (DESIGN.md D6); the
-// Metropolis test on the BDIO's average cost only decides which placement
-// seeds the next perturbation. The run stops on coverage target, placement
-// budget, or iteration budget — whichever first (D7).
+// Every explored placement is resolved and stored — the flow above stores
+// before it asks "Accept New Placement?" — so the Metropolis test on the
+// BDIO's average cost only decides which placement seeds the next
+// perturbation. The run stops on coverage target, placement budget, or
+// iteration budget — whichever first.
 package explorer
 
 import (
@@ -41,7 +42,8 @@ type Config struct {
 	// (0 = unlimited).
 	MaxPlacements int
 	// TargetCoverage stops once exact volume coverage reaches this fraction
-	// (0 = disabled). Practical only for small circuits (DESIGN.md D7).
+	// (0 = disabled). Practical only for small circuits: exact coverage
+	// of a many-block dimension space stays vanishingly small.
 	TargetCoverage float64
 	// PerturbFraction is the share of blocks moved per perturbation
 	// (paper §3.1.4: "a percentage value set by the user"). Default 0.3.
@@ -63,7 +65,8 @@ type Config struct {
 	// Floorplan overrides placement.DefaultFloorplan when non-empty.
 	Floorplan geom.Rect
 	// Chains runs this many independent explorer chains feeding one
-	// structure (extension; see DESIGN.md §6 ablations). Default 1.
+	// structure (an extension beyond the paper, measured by
+	// BenchmarkAblationParallelChains). Default 1.
 	Chains int
 	// Progress, when non-nil, observes each iteration. Called under the
 	// structure lock; keep it fast.

@@ -18,7 +18,8 @@
 // (box area minus summed block areas), then by lowest member index so
 // routing is deterministic. Only when no member covers the query does the
 // portfolio fall back — to member 0's installed backup, exactly the
-// single-structure fallback semantics.
+// single-structure fallback semantics. A K=1 portfolio — a single
+// structure — skips the probe and answers from its member directly.
 //
 // # Weighted routing
 //
@@ -290,8 +291,11 @@ func (p *Portfolio) Instantiate(ws, hs []int) (Result, error) {
 // capacity — the zero-allocation serving hot path for covered queries
 // (backup answers allocate in the backup, as with a single structure). It
 // returns the answering member's index, -1 for the backup. On error res is
-// left unspecified.
+// left unspecified. A K=1 portfolio skips routing (see single).
 func (p *Portfolio) InstantiateInto(res *core.Result, ws, hs []int) (member int, err error) {
+	if len(p.compiled) == 1 {
+		return p.single(res, ws, hs)
+	}
 	member, _, _, err = p.route(ws, hs)
 	return p.answer(res, member, err, ws, hs)
 }
@@ -313,8 +317,26 @@ func (p *Portfolio) InstantiateWeighted(w cost.Weights, ws, hs []int) (Result, e
 // contract for covered queries (pinned by the portfolio_route_weighted
 // micro-benchmark).
 func (p *Portfolio) InstantiateWeightedInto(res *core.Result, w cost.Weights, ws, hs []int) (member int, err error) {
+	if len(p.compiled) == 1 {
+		return p.single(res, ws, hs)
+	}
 	member, _, _, err = p.routeWeighted(w, ws, hs)
 	return p.answer(res, member, err, ws, hs)
+}
+
+// single answers a K=1 portfolio straight from its one member, with no
+// coverage probe: there is nothing to route between, so a single
+// structure served as a portfolio costs exactly its own query. The
+// answer is member 0 when a stored placement covers the query, -1 when
+// the backup answered — the same result routing would reach.
+func (p *Portfolio) single(res *core.Result, ws, hs []int) (int, error) {
+	if err := p.compiled[0].InstantiateInto(res, ws, hs); err != nil {
+		return -1, err
+	}
+	if res.FromBackup {
+		return -1, nil
+	}
+	return 0, nil
 }
 
 // answer materializes a routing decision into res: the winning member's

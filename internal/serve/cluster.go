@@ -157,31 +157,23 @@ func (s *Server) remoteWork(tr *obs.Trace, e *entry, specJSON []byte) {
 	// have ended would misrepresent the timeline.
 	fetchSpan := tr.StartSpan(obs.StageFetch)
 	fetchSpan.SetKey(e.key)
-	st0, stats0, ok := s.fetchFromPeers(fetchSpan, e.spec)
+	p, stats, ok := s.fetchFromPeers(fetchSpan, e.spec)
 	s.metrics.endSpan(fetchSpan)
 	if ok {
-		st, stats := st0, stats0
-		if snap, err := s.sched.RecordDone(e.key, specJSON, jobsProgress(st, stats)); err == nil {
-			s.setJobID(e, snap.ID)
-		}
-		s.publish(e, st, stats, nil)
+		s.publishDone(e, specJSON, p, stats)
 		return
 	}
 	genSpan := tr.StartSpan(obs.StageForward)
 	genSpan.SetKey(e.key)
 	genSpan.SetRemote(s.cluster.Owner(e.key))
-	st1, stats1, handled, err1 := s.generateOnOwner(genSpan, e.spec)
+	p, stats, handled, err := s.generateOnOwner(genSpan, e.spec)
 	s.metrics.endSpan(genSpan)
 	if handled {
-		st, stats, err := st1, stats1, err1
 		if err != nil {
 			s.publish(e, nil, mps.Stats{}, err)
 			return
 		}
-		if snap, err := s.sched.RecordDone(e.key, specJSON, jobsProgress(st, stats)); err == nil {
-			s.setJobID(e, snap.ID)
-		}
-		s.publish(e, st, stats, nil)
+		s.publishDone(e, specJSON, p, stats)
 		return
 	}
 	// Owner and replicas unreachable: serve anyway. The local scheduler
@@ -196,21 +188,21 @@ func (s *Server) remoteWork(tr *obs.Trace, e *entry, specJSON []byte) {
 // from the key's replica set, owner first. Milliseconds against a healthy
 // peer; a dead one costs at most one FetchTimeout before its breaker
 // starts refusing instantly.
-func (s *Server) fetchFromPeers(sp obs.SpanRef, spec GenerateSpec) (*mps.Structure, mps.Stats, bool) {
+func (s *Server) fetchFromPeers(sp obs.SpanRef, spec GenerateSpec) (*mps.Portfolio, mps.Stats, bool) {
 	c := s.cluster
 	key := spec.key()
 	for _, peer := range c.Ring().Replicas(key, len(c.Peers())) {
 		if peer == c.Self() {
 			continue
 		}
-		st, stats, err := s.fetchFrom(sp, peer, spec)
+		p, stats, err := s.fetchFrom(sp, peer, spec)
 		if err != nil {
 			s.logf("cluster: fetching %s from %s: %v", key, peer, err)
 			continue
 		}
-		if st != nil {
+		if p != nil {
 			c.CountFetch()
-			return st, stats, true
+			return p, stats, true
 		}
 	}
 	return nil, mps.Stats{}, false
@@ -220,10 +212,11 @@ func (s *Server) fetchFromPeers(sp obs.SpanRef, spec GenerateSpec) (*mps.Structu
 // failure in fetchFrom.
 var errPeerMiss = fmt.Errorf("peer does not have the structure")
 
-// fetchFrom pulls spec's structure from one peer. (nil, _, nil) is
-// returned for a clean miss (the peer answered 404). sp, when backed by
-// a trace, parents the per-attempt spans Do records for this pull.
-func (s *Server) fetchFrom(sp obs.SpanRef, peer string, spec GenerateSpec) (*mps.Structure, mps.Stats, error) {
+// fetchFrom pulls spec's structure from one peer as a K=1 artifact.
+// (nil, _, nil) is returned for a clean miss (the peer answered 404). sp,
+// when backed by a trace, parents the per-attempt spans Do records for
+// this pull.
+func (s *Server) fetchFrom(sp obs.SpanRef, peer string, spec GenerateSpec) (*mps.Portfolio, mps.Stats, error) {
 	c := s.cluster
 	mark, err := cluster.EncodeForward(cluster.Forward{From: c.Self(), Hop: 1})
 	if err != nil {
@@ -265,14 +258,11 @@ func (s *Server) fetchFrom(sp obs.SpanRef, peer string, spec GenerateSpec) (*mps
 	if err != nil {
 		return nil, mps.Stats{}, fmt.Errorf("decoding peer artifact: %w", err)
 	}
-	st := &mps.Structure{Structure: cs}
-	st.SetBackupKind(spec.backupKind())
-	st.Compiled()
 	var stats mps.Stats
 	if cov := resp.Header.Get(clusterCoverageHeader); cov != "" {
 		fmt.Sscanf(cov, "%g", &stats.FinalCoverage)
 	}
-	return st, stats, nil
+	return single(spec.withBackup(cs)), stats, nil
 }
 
 // generateOnOwner asks the key's owner to generate spec (a marked,
@@ -281,7 +271,7 @@ func (s *Server) fetchFrom(sp obs.SpanRef, peer string, spec GenerateSpec) (*mps
 // handled=false means the owner was unreachable and the caller should
 // degrade to local generation; handled=true with err carries an owner
 // verdict (e.g. a 4xx) that local generation could not improve on.
-func (s *Server) generateOnOwner(sp obs.SpanRef, spec GenerateSpec) (*mps.Structure, mps.Stats, bool, error) {
+func (s *Server) generateOnOwner(sp obs.SpanRef, spec GenerateSpec) (*mps.Portfolio, mps.Stats, bool, error) {
 	c := s.cluster
 	owner := c.Owner(spec.key())
 	mark, err := cluster.EncodeForward(cluster.Forward{From: c.Self(), Hop: 1})
@@ -300,15 +290,15 @@ func (s *Server) generateOnOwner(sp obs.SpanRef, spec GenerateSpec) (*mps.Struct
 	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 	switch {
 	case resp.StatusCode == http.StatusOK:
-		st, stats, err := s.fetchFrom(sp, owner, spec)
-		if err != nil || st == nil {
+		p, stats, err := s.fetchFrom(sp, owner, spec)
+		if err != nil || p == nil {
 			// Generated there but the artifact will not come over; local
 			// generation still serves the client.
 			s.logf("cluster: owner %s generated %s but fetch failed: %v", owner, spec.key(), err)
 			return nil, mps.Stats{}, false, nil
 		}
 		c.CountFetch()
-		return st, stats, true, nil
+		return p, stats, true, nil
 	case resp.StatusCode >= 400 && resp.StatusCode < 500:
 		// The owner understood and refused (bad spec, over budget); a
 		// local run would be refused the same way.
@@ -320,9 +310,9 @@ func (s *Server) generateOnOwner(sp obs.SpanRef, spec GenerateSpec) (*mps.Struct
 	}
 }
 
-// jobsProgress summarizes a fetched structure for the job-history record.
-func jobsProgress(st *mps.Structure, stats mps.Stats) jobs.Progress {
-	return jobs.Progress{Placements: st.NumPlacements(), Coverage: stats.FinalCoverage}
+// jobsProgress summarizes a finished artifact for the job-history record.
+func jobsProgress(p *mps.Portfolio, stats mps.Stats) jobs.Progress {
+	return jobs.Progress{Placements: p.NumPlacements(), Coverage: stats.FinalCoverage}
 }
 
 // entryForKey resolves a bare cache key — the instantiate fast path — in
@@ -412,20 +402,21 @@ func (s *Server) specFromPeer(ctx context.Context, key string) (GenerateSpec, bo
 	return specFromOptions(key, resp.Header.Get(clusterSpecHeader), s.logf)
 }
 
-// specFromOptions decodes and re-validates a recorded spec, requiring it
-// to rebuild exactly the key it was recorded under.
+// specFromOptions decodes and re-validates a recorded spec (a store
+// manifest row's options, or a peer's spec header), requiring it to
+// rebuild exactly the key it was recorded under.
 func specFromOptions(key, opts string, logf func(string, ...any)) (GenerateSpec, bool) {
 	var spec GenerateSpec
 	if err := json.Unmarshal([]byte(opts), &spec); err != nil {
-		logf("cluster: options for %s: %v", key, err)
+		logf("spec: options for %s: %v", key, err)
 		return GenerateSpec{}, false
 	}
 	if err := spec.normalize(); err != nil {
-		logf("cluster: spec for %s: %v", key, err)
+		logf("spec: spec for %s: %v", key, err)
 		return GenerateSpec{}, false
 	}
 	if spec.key() != key {
-		logf("cluster: options for %s rebuild to %s (key drift)", key, spec.key())
+		logf("spec: options for %s rebuild to %s (key drift)", key, spec.key())
 		return GenerateSpec{}, false
 	}
 	return spec, true
@@ -458,12 +449,12 @@ func (s *Server) handleClusterStructure(w http.ResponseWriter, r *http.Request) 
 		w.Header().Set(clusterSpecHeader, string(mustSpecJSON(e.spec)))
 		w.Header().Set(clusterCoverageHeader, strconv.FormatFloat(e.coverage, 'g', -1, 64))
 		w.Header().Set(clusterPlacementsHeader, strconv.Itoa(e.placements))
-		if metaOnly || e.s == nil { // portfolio entries ship meta only
+		if metaOnly || e.art.K() > 1 { // portfolio entries ship meta only
 			w.WriteHeader(http.StatusOK)
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
-		if err := e.s.SaveBinaryCompiled(w); err != nil {
+		if err := e.art.Member(0).SaveBinaryCompiled(w); err != nil {
 			s.logf("cluster: encoding %s for peer: %v", key, err)
 		}
 		return
@@ -541,31 +532,9 @@ func (s *Server) handleClusterAccept(w http.ResponseWriter, r *http.Request) {
 		}
 	} else {
 		// Store-less node: hold the transferred structure in the LRU.
-		st := &mps.Structure{Structure: cs}
-		st.SetBackupKind(spec.backupKind())
-		st.Compiled()
-		s.installEntry(spec, st, mps.Stats{FinalCoverage: coverage})
+		s.install(spec, single(spec.withBackup(cs)), mps.Stats{FinalCoverage: coverage}, "", false)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"key": spec.key(), "stored": true})
-}
-
-// installEntry places a finished structure into the cache as a done entry
-// (no-op if the key is already present) — the Warm pattern, shared by the
-// store-less accept path.
-func (s *Server) installEntry(spec GenerateSpec, st *mps.Structure, stats mps.Stats) {
-	e := &entry{key: spec.key(), spec: spec, ready: make(chan struct{})}
-	e.s, e.stats, e.done = st, stats, true
-	e.placements = st.NumPlacements()
-	e.coverage = stats.FinalCoverage
-	e.start.Do(func() {})
-	close(e.ready)
-	s.mu.Lock()
-	if _, exists := s.cache[e.key]; !exists {
-		e.elem = s.order.PushFront(e)
-		s.cache[e.key] = e
-		s.evictLocked()
-	}
-	s.mu.Unlock()
 }
 
 // RebalanceReport summarizes one rebalance pass.

@@ -49,6 +49,7 @@ import (
 	"mps"
 	"mps/internal/circuits"
 	"mps/internal/cluster"
+	"mps/internal/core"
 	"mps/internal/jobs"
 	"mps/internal/obs"
 	"mps/internal/store"
@@ -229,34 +230,49 @@ type entry struct {
 	jobID        string
 	memberJobIDs []string
 
-	// done and the fields below are written exactly once, under the
-	// server mutex, when generation finishes. Exactly one of s and p is
-	// set on success: s for single-structure specs, p for portfolio
-	// specs. placements and coverage snapshot the artifact at publish
-	// time so listing the cache never walks structure internals while
-	// holding the global mutex.
+	// done and the fields below are written exactly once (see set), when
+	// generation finishes. art is the artifact on success: a portfolio of
+	// spec.Portfolio members, so a single-structure spec holds a K=1
+	// portfolio (see single). placements and coverage snapshot it at
+	// publish time so listing the cache never walks structure internals
+	// while holding the global mutex.
 	done       bool
-	s          *mps.Structure
-	p          *mps.Portfolio
+	art        *mps.Portfolio
 	stats      mps.Stats
 	placements int
 	coverage   float64
 	err        error
 }
 
-// batcher is the query surface shared by structures and portfolios — all
-// the instantiate handler needs from either.
-type batcher interface {
-	InstantiateBatchWorkers(queries []mps.DimQuery, workers int) []mps.BatchResult
+// set records the entry's outcome. Callers hold the server mutex, or own
+// an entry not yet in the cache. The coverage snapshot is the stats'
+// FinalCoverage: exact for a fresh generation (Compact merges fragments
+// without changing covered volume), the manifest's figure for a stored
+// artifact, the merged estimate for a portfolio.
+func (e *entry) set(p *mps.Portfolio, stats mps.Stats, err error) {
+	e.art, e.stats, e.err, e.done = p, stats, err, true
+	if p != nil {
+		e.placements, e.coverage = p.NumPlacements(), stats.FinalCoverage
+	}
 }
 
-// batcher returns the entry's query surface. Only valid on a successfully
-// published entry.
-func (e *entry) batcher() batcher {
-	if e.p != nil {
-		return e.p
+// single wraps a structure as the K=1 portfolio a cache entry holds — done
+// once, where a structure enters an entry (job run, store read-through,
+// peer fetch, store-less accept). Wrapping compiles the member's query
+// index (a cache hit for v3 files), so no instantiate request pays
+// compile cost, and a K=1 portfolio answers straight from its member.
+func single(st *mps.Structure) *mps.Portfolio {
+	p, err := mps.NewPortfolio([]*mps.Structure{st})
+	if err != nil { // unreachable: one non-nil member always assembles
+		panic(fmt.Sprintf("serve: wrapping structure: %v", err))
 	}
-	return e.s
+	return p
+}
+
+// structureOf returns the structure of a K=1 artifact — what a portfolio
+// assembles its members from.
+func structureOf(p *mps.Portfolio) *mps.Structure {
+	return &mps.Structure{Structure: p.Member(0)}
 }
 
 // New returns a Server ready to serve. The server owns its job scheduler
@@ -567,14 +583,13 @@ func (g GenerateSpec) memberSpec(i int) GenerateSpec {
 	return m
 }
 
-// backupKind maps the spec's backup name to the facade's enum — used when
-// rehydrating a structure from the store, where only the backup must be
-// rebuilt (it is derived from the circuit, not persisted).
-func (g GenerateSpec) backupKind() mps.BackupKind {
-	if g.Backup == "seqpair" {
-		return mps.BackupSequencePair
-	}
-	return mps.BackupSlicingTree
+// withBackup wraps a decoded structure (store file, peer artifact) for the
+// facade, re-attaching the backup the spec names: a backup is derived
+// from the circuit, never persisted.
+func (g GenerateSpec) withBackup(cs *core.Structure) *mps.Structure {
+	st := &mps.Structure{Structure: cs}
+	st.SetBackupKind(g.options().Backup)
+	return st
 }
 
 func (g GenerateSpec) options() mps.Options {
@@ -707,16 +722,10 @@ func (s *Server) startWork(tr *obs.Trace, parent obs.SpanID, e *entry) {
 	// evicted from this one) is rehydrated from disk in milliseconds
 	// instead of regenerated in minutes. Load failures (corrupt file,
 	// missing entry) fall through to a fresh generation. The job history
-	// still records the materialization (RecordDone), so /v1/jobs answers
+	// still records the materialization (publishDone), so /v1/jobs answers
 	// for warm keys too.
-	if st, stats, err := s.loadFromStore(tr, parent, e.spec); err == nil && st != nil {
-		if snap, err := s.sched.RecordDone(e.key, specJSON, jobs.Progress{
-			Placements: st.NumPlacements(),
-			Coverage:   stats.FinalCoverage,
-		}); err == nil {
-			s.setJobID(e, snap.ID)
-		}
-		s.publish(e, st, stats, nil)
+	if p, stats, err := s.loadFromStore(tr, parent, e.spec); err == nil && p != nil {
+		s.publishDone(e, specJSON, p, stats)
 		return
 	}
 	// Cluster mode, non-owned key: this node is serving the key anyway
@@ -744,7 +753,7 @@ func (s *Server) submitGeneration(tr *obs.Trace, e *entry, specJSON []byte) {
 	// happens in Done — after the scheduler has retired the key from its
 	// active set — so a request racing a failed entry's removal starts a
 	// fresh job instead of deduping onto the dead one.
-	var genSt *mps.Structure
+	var genArt *mps.Portfolio
 	var genStats mps.Stats
 	var genErr error
 	snap, _, err := s.sched.Submit(jobs.Request{
@@ -753,7 +762,7 @@ func (s *Server) submitGeneration(tr *obs.Trace, e *entry, specJSON []byte) {
 		Priority: e.priority,
 		Trace:    tr,
 		Run: func(ctx context.Context, report func(jobs.Progress)) error {
-			genSt, genStats, genErr = s.runGeneration(ctx, e.spec, report)
+			genArt, genStats, genErr = s.runGeneration(ctx, e.spec, report)
 			// Write-through: persist the finished structure off the job
 			// path. The annealing run took minutes; the disk write takes
 			// milliseconds and must never hold the worker (or a waiting
@@ -762,11 +771,11 @@ func (s *Server) submitGeneration(tr *obs.Trace, e *entry, specJSON []byte) {
 			// Flush. On error, nothing persists — a cancelled or failed
 			// run leaves no partial structure in the store, and publish
 			// drops the entry so none lingers in the cache either.
-			if genErr == nil && genSt != nil && s.cfg.Store != nil {
+			if genErr == nil && genArt != nil && s.cfg.Store != nil {
 				s.persistWG.Add(1)
 				go func() {
 					defer s.persistWG.Done()
-					s.persist(e.spec, genSt, genStats.FinalCoverage)
+					s.persist(e.spec, genArt.Member(0), genStats.FinalCoverage)
 				}()
 			}
 			return genErr
@@ -777,7 +786,7 @@ func (s *Server) submitGeneration(tr *obs.Trace, e *entry, specJSON []byte) {
 			if snap.Finished.After(snap.Started) {
 				s.metrics.observe(nil, obs.StageJobRun, snap.Finished.Sub(snap.Started))
 			}
-			s.publish(e, genSt, genStats, genErr)
+			s.publish(e, genArt, genStats, genErr)
 		},
 		Abandon: func(reason error) {
 			s.publish(e, nil, mps.Stats{}, fmt.Errorf("generation canceled while queued: %w: %w", reason, context.Canceled))
@@ -800,10 +809,10 @@ func (s *Server) setJobID(e *entry, id string) {
 // runGeneration executes one full annealing run under the job's context,
 // translating generation progress into job progress. Panics become
 // errors so a misbehaving generator fails one entry, not the daemon.
-func (s *Server) runGeneration(ctx context.Context, spec GenerateSpec, report func(jobs.Progress)) (st *mps.Structure, stats mps.Stats, err error) {
+func (s *Server) runGeneration(ctx context.Context, spec GenerateSpec, report func(jobs.Progress)) (p *mps.Portfolio, stats mps.Stats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			st, err = nil, fmt.Errorf("generation panic: %v", r)
+			p, err = nil, fmt.Errorf("generation panic: %v", r)
 		}
 	}()
 	circuit, err := mps.Benchmark(spec.Circuit)
@@ -826,18 +835,17 @@ func (s *Server) runGeneration(ctx context.Context, spec GenerateSpec, report fu
 		Circuit: circuit, Options: opts, Backend: spec.Backend,
 		Weights: spec.Weights.weights(),
 	})
-	st = res.Structure
 	if len(res.Stats) > 0 {
 		stats = res.Stats[0]
 	}
-	if err == nil && st != nil {
-		// Compile on the job worker, not on the first instantiate request:
-		// queries against this structure — including the background persist,
-		// which saves the compiled tables into the v3 file — find the index
-		// ready.
-		st.Compiled()
+	if err == nil && res.Structure != nil {
+		// Wrap (and so compile) on the job worker, not on the first
+		// instantiate request: queries against this structure — including
+		// the background persist, which saves the compiled tables into the
+		// v3 file — find the index ready.
+		p = single(res.Structure)
 	}
-	return st, stats, err
+	return p, stats, err
 }
 
 // startPortfolioWork produces a portfolio entry: the K member specs fan
@@ -878,36 +886,36 @@ func (s *Server) startPortfolioWork(tr *obs.Trace, parent obs.SpanID, e *entry) 
 		var memberErr error
 		for i, me := range members {
 			<-me.ready
-			if me.err != nil && memberErr == nil {
-				memberErr = fmt.Errorf("portfolio member %d (%s): %w", i, me.key, me.err)
+			if me.err != nil {
+				if memberErr == nil {
+					memberErr = fmt.Errorf("portfolio member %d (%s): %w", i, me.key, me.err)
+				}
+			} else {
+				structures[i] = structureOf(me.art)
 			}
-			structures[i] = me.s
 			me.waiters.Add(-1)
 		}
 		if memberErr != nil {
-			s.publishPortfolio(e, nil, 0, memberErr)
+			s.publish(e, nil, mps.Stats{}, memberErr)
 			return
 		}
 		p, err := mps.NewPortfolioWeighted(structures, e.spec.resolvedMemberWeights())
 		if err != nil {
-			s.publishPortfolio(e, nil, 0, err)
+			s.publish(e, nil, mps.Stats{}, err)
 			return
 		}
-		coverage := portfolioCoverage(p, e.spec.Seed)
+		// Member generation stats live with the member entries; the
+		// portfolio's own stats carry the merged coverage, matching what
+		// the warm path reconstructs.
+		stats := mps.Stats{FinalCoverage: portfolioCoverage(p, e.spec.Seed)}
 		if s.cfg.Store != nil {
 			s.persistWG.Add(1)
 			go func() {
 				defer s.persistWG.Done()
-				s.persistPortfolio(e.spec, p, structures, coverage)
+				s.persistPortfolio(e.spec, p, stats.FinalCoverage)
 			}()
 		}
-		if snap, err := s.sched.RecordDone(e.key, mustSpecJSON(e.spec), jobs.Progress{
-			Placements: p.NumPlacements(),
-			Coverage:   coverage,
-		}); err == nil {
-			s.setJobID(e, snap.ID)
-		}
-		s.publishPortfolio(e, p, coverage, nil)
+		s.publishDone(e, mustSpecJSON(e.spec), p, stats)
 	}()
 }
 
@@ -927,31 +935,6 @@ func mustSpecJSON(spec GenerateSpec) json.RawMessage {
 		panic(fmt.Sprintf("serve: encoding spec: %v", err))
 	}
 	return b
-}
-
-// publishPortfolio is publish for portfolio entries. Member generation
-// stats live with the member entries; the portfolio's own stats carry the
-// merged coverage, matching what the warm path reconstructs.
-func (s *Server) publishPortfolio(e *entry, p *mps.Portfolio, coverage float64, err error) {
-	var placements int
-	var stats mps.Stats
-	if p != nil {
-		placements = p.NumPlacements()
-		stats.FinalCoverage = coverage
-	}
-	s.mu.Lock()
-	if e.done {
-		s.mu.Unlock()
-		return
-	}
-	e.p, e.stats, e.err, e.done = p, stats, err, true
-	e.placements, e.coverage = placements, coverage
-	if err != nil {
-		s.removeLocked(e)
-	}
-	s.evictLocked()
-	s.mu.Unlock()
-	close(e.ready)
 }
 
 // loadPortfolioFromStore rehydrates a whole portfolio from the store's
@@ -980,15 +963,15 @@ func (s *Server) loadPortfolioFromStore(spec GenerateSpec) (*mps.Portfolio, mps.
 		// request, earlier traffic) often holds the member already — reuse
 		// it so the portfolio shares the cached structure and its compiled
 		// index instead of decoding a second copy from disk.
-		if me, ok := s.lookup(mspec.key()); ok && me.s != nil {
-			members[i] = me.s
+		if me, ok := s.lookup(mspec.key()); ok {
+			members[i] = structureOf(me.art)
 			continue
 		}
-		st, _, err := s.loadFromStore(nil, 0, mspec)
-		if err != nil || st == nil {
+		mp, _, err := s.loadFromStore(nil, 0, mspec)
+		if err != nil || mp == nil {
 			return nil, mps.Stats{}, err
 		}
-		members[i] = st
+		members[i] = structureOf(mp)
 	}
 	p, err := mps.NewPortfolioWeighted(members, spec.resolvedMemberWeights())
 	if err != nil {
@@ -1004,9 +987,9 @@ func (s *Server) loadPortfolioFromStore(spec GenerateSpec) (*mps.Portfolio, mps.
 // generations in the background, so a member may not have landed yet —
 // the duplicate Put is atomic and idempotent (same key, same filename,
 // same content). Runs off the request path under persistWG.
-func (s *Server) persistPortfolio(spec GenerateSpec, p *mps.Portfolio, members []*mps.Structure, coverage float64) {
-	memberKeys := make([]string, len(members))
-	for i, m := range members {
+func (s *Server) persistPortfolio(spec GenerateSpec, p *mps.Portfolio, coverage float64) {
+	memberKeys := make([]string, p.K())
+	for i, m := range p.Members() {
 		mspec := spec.memberSpec(i)
 		memberKeys[i] = mspec.key()
 		if _, ok := s.cfg.Store.Stat(memberKeys[i]); !ok {
@@ -1107,16 +1090,7 @@ func (s *Server) structureFor(ctx context.Context, spec GenerateSpec) (*entry, b
 // another client's error — later requests miss and retry instead.
 // Eviction re-runs because the entry was un-evictable while in flight, so
 // the cache may be over its bound with no future miss to shrink it.
-func (s *Server) publish(e *entry, st *mps.Structure, stats mps.Stats, err error) {
-	var placements int
-	var coverage float64
-	if st != nil {
-		placements = st.NumPlacements()
-		// FinalCoverage is exact here: Compact (run inside mps.Generate)
-		// merges fragments without changing covered volume, so no
-		// recompute is needed.
-		coverage = stats.FinalCoverage
-	}
+func (s *Server) publish(e *entry, p *mps.Portfolio, stats mps.Stats, err error) {
 	s.mu.Lock()
 	if e.done {
 		// Already published (the sole-waiter silent-cancel path marks the
@@ -1124,8 +1098,7 @@ func (s *Server) publish(e *entry, st *mps.Structure, stats mps.Stats, err error
 		s.mu.Unlock()
 		return
 	}
-	e.s, e.stats, e.err, e.done = st, stats, err, true
-	e.placements, e.coverage = placements, coverage
+	e.set(p, stats, err)
 	if err != nil {
 		s.removeLocked(e)
 	}
@@ -1134,14 +1107,24 @@ func (s *Server) publish(e *entry, st *mps.Structure, stats mps.Stats, err error
 	close(e.ready)
 }
 
-// loadFromStore rehydrates the structure for spec from the disk store.
-// (nil, _, nil) means "not available" — no store configured or no entry
-// for the key; an error means an entry existed but could not be loaded
-// (corrupt file, circuit mismatch), which callers also treat as a miss
-// after counting it. The read and compile phases record as store_read
+// publishDone publishes an artifact that no local job produced (store
+// read-through, peer fetch, portfolio fan-in), first recording it in the
+// job history as a born-done job so /v1/jobs answers for its key too.
+func (s *Server) publishDone(e *entry, specJSON []byte, p *mps.Portfolio, stats mps.Stats) {
+	if snap, err := s.sched.RecordDone(e.key, specJSON, jobsProgress(p, stats)); err == nil {
+		s.setJobID(e, snap.ID)
+	}
+	s.publish(e, p, stats, nil)
+}
+
+// loadFromStore rehydrates the structure for spec from the disk store as
+// a K=1 artifact. (nil, _, nil) means "not available" — no store
+// configured or no entry for the key; an error means an entry existed but
+// could not be loaded (corrupt file, circuit mismatch), which callers also
+// treat as a miss after counting it. The read and compile phases record as store_read
 // and compile spans on tr (nil for background callers), nested under
 // parent.
-func (s *Server) loadFromStore(tr *obs.Trace, parent obs.SpanID, spec GenerateSpec) (*mps.Structure, mps.Stats, error) {
+func (s *Server) loadFromStore(tr *obs.Trace, parent obs.SpanID, spec GenerateSpec) (*mps.Portfolio, mps.Stats, error) {
 	if s.cfg.Store == nil {
 		return nil, mps.Stats{}, nil
 	}
@@ -1162,26 +1145,25 @@ func (s *Server) loadFromStore(tr *obs.Trace, parent obs.SpanID, spec GenerateSp
 		s.logf("store: loading %s: %v (regenerating)", key, err)
 		return nil, mps.Stats{}, err
 	}
-	st := &mps.Structure{Structure: cs}
-	st.SetBackupKind(spec.backupKind())
+	st := spec.withBackup(cs)
 	// Materialize the compiled query index before the entry publishes so
 	// no instantiate request ever pays compile cost. Store files are v3
 	// (placements + compiled tables), so this is a cache hit — core.Load
 	// attached the index during decode; only a legacy v2 file compiles
 	// here, still off the request path.
 	compileSpan := tr.StartSpanUnder(parent, obs.StageCompile)
-	st.Compiled()
+	p := single(st)
 	s.metrics.endSpan(compileSpan)
 	// The manifest's coverage snapshot is all that survives a restart;
 	// the rest of the generation stats belong to the process that ran
 	// the annealer.
-	return st, mps.Stats{FinalCoverage: meta.Coverage}, nil
+	return p, mps.Stats{FinalCoverage: meta.Coverage}, nil
 }
 
 // persist writes one finished generation to the disk store, recording the
 // normalized spec in the manifest so a restarted server can rebuild the
 // cache entry without guessing.
-func (s *Server) persist(spec GenerateSpec, st *mps.Structure, coverage float64) {
+func (s *Server) persist(spec GenerateSpec, st *core.Structure, coverage float64) {
 	specJSON, err := json.Marshal(spec)
 	if err != nil {
 		s.persistErrs.Add(1)
@@ -1194,7 +1176,7 @@ func (s *Server) persist(spec GenerateSpec, st *mps.Structure, coverage float64)
 		Seed:     spec.Seed,
 		Options:  string(specJSON),
 		Coverage: coverage,
-	}, st.Structure)
+	}, st)
 	if err != nil {
 		s.persistErrs.Add(1)
 		s.logf("store: persisting %s: %v", spec.key(), err)
@@ -1219,113 +1201,89 @@ func (s *Server) Warm(limit int) (int, error) {
 	if limit <= 0 || limit > s.cfg.CacheSize {
 		limit = s.cfg.CacheSize
 	}
-	loaded := 0
-	for _, meta := range s.cfg.Store.List() {
-		if loaded >= limit {
+	structures := 0
+	for _, m := range s.cfg.Store.List() {
+		if structures >= limit {
 			break
 		}
-		var spec GenerateSpec
-		if err := json.Unmarshal([]byte(meta.Options), &spec); err != nil {
-			s.logf("warm: manifest options for %s: %v", meta.Key, err)
-			continue
+		if s.warmRow(m.Key, m.Options) {
+			structures++
 		}
-		if err := spec.normalize(); err != nil {
-			s.logf("warm: spec for %s: %v", meta.Key, err)
-			continue
-		}
-		if spec.key() != meta.Key {
-			s.logf("warm: manifest key %s does not match its spec (key drift)", meta.Key)
-			continue
-		}
-		st, stats, err := s.loadFromStore(nil, 0, spec)
-		if err != nil || st == nil {
-			continue // already logged and counted
-		}
-		e := &entry{key: meta.Key, spec: spec, ready: make(chan struct{})}
-		e.s, e.stats, e.done = st, stats, true
-		e.placements = st.NumPlacements()
-		e.coverage = meta.Coverage
-		// Consume the entry's start and close ready before publication so
-		// a later request treats it as finished; the field writes above
-		// happen-before any start.Do return or ready receive.
-		e.start.Do(func() {})
-		close(e.ready)
-		// Record the materialization in the job history so /v1/jobs
-		// answers for warm keys (idempotent across restarts when the
-		// scheduler persists state).
-		if snap, err := s.sched.RecordDone(meta.Key, []byte(meta.Options), jobs.Progress{
-			Placements: e.placements,
-			Coverage:   e.coverage,
-		}); err == nil {
-			e.jobID = snap.ID
-		}
-		s.mu.Lock()
-		if _, exists := s.cache[meta.Key]; !exists {
-			e.elem = s.order.PushBack(e) // List is newest-first, so the front stays newest
-			s.cache[meta.Key] = e
-			s.evictLocked()
-			loaded++
-		}
-		s.mu.Unlock()
 	}
 	// Portfolios get their own budget of the same size: a store holding
 	// limit structures must not starve every grouping row (the LRU may
 	// transiently evict the coldest warmed structures to make room, which
 	// is the right trade — a portfolio entry answers for K members).
-	loaded += s.warmPortfolios(limit)
-	return loaded, nil
-}
-
-// warmPortfolios preloads up to limit portfolios from the store's grouping
-// rows, newest first. Member structures come from the cache when the
-// structure pass just loaded them, else through the ordinary
-// read-through; rows that fail to parse or whose members no longer load
-// are logged and skipped, never fatal.
-func (s *Server) warmPortfolios(limit int) int {
-	loaded := 0
+	portfolios := 0
 	for _, row := range s.cfg.Store.Portfolios() {
-		if loaded >= limit {
+		if portfolios >= limit {
 			break
 		}
-		var spec GenerateSpec
-		if err := json.Unmarshal([]byte(row.Options), &spec); err != nil {
-			s.logf("warm: portfolio options for %s: %v", row.Key, err)
-			continue
+		if s.warmRow(row.Key, row.Options) {
+			portfolios++
 		}
-		if err := spec.normalize(); err != nil {
-			s.logf("warm: portfolio spec for %s: %v", row.Key, err)
-			continue
-		}
-		if spec.key() != row.Key {
-			s.logf("warm: portfolio manifest key %s does not match its spec (key drift)", row.Key)
-			continue
-		}
-		p, stats, err := s.loadPortfolioFromStore(spec)
-		if err != nil || p == nil {
-			continue // already logged and counted where it failed
-		}
-		e := &entry{key: row.Key, spec: spec, ready: make(chan struct{})}
-		e.p, e.stats, e.done = p, stats, true
-		e.placements = p.NumPlacements()
-		e.coverage = row.Coverage
-		e.start.Do(func() {})
-		close(e.ready)
-		if snap, err := s.sched.RecordDone(row.Key, []byte(row.Options), jobs.Progress{
-			Placements: e.placements,
-			Coverage:   e.coverage,
-		}); err == nil {
-			e.jobID = snap.ID
-		}
-		s.mu.Lock()
-		if _, exists := s.cache[row.Key]; !exists {
-			e.elem = s.order.PushBack(e)
-			s.cache[row.Key] = e
-			s.evictLocked()
-			loaded++
-		}
-		s.mu.Unlock()
 	}
-	return loaded
+	return structures + portfolios, nil
+}
+
+// warmRow loads the artifact of one manifest row (a structure row or a
+// portfolio grouping row: its key and recorded spec JSON) and installs it
+// as a done cache entry, reporting whether it did. A portfolio row's
+// members come from the cache when the structure pass just loaded them,
+// else through the ordinary read-through.
+func (s *Server) warmRow(key, options string) bool {
+	spec, ok := specFromOptions(key, options, s.logf)
+	if !ok {
+		return false
+	}
+	var p *mps.Portfolio
+	var stats mps.Stats
+	var err error
+	if spec.Portfolio > 1 {
+		p, stats, err = s.loadPortfolioFromStore(spec)
+	} else {
+		p, stats, err = s.loadFromStore(nil, 0, spec)
+	}
+	if err != nil || p == nil {
+		return false // already logged and counted where it failed
+	}
+	// Record the materialization in the job history so /v1/jobs answers
+	// for warm keys (idempotent across restarts when the scheduler
+	// persists state).
+	jobID := ""
+	if snap, err := s.sched.RecordDone(key, []byte(options), jobsProgress(p, stats)); err == nil {
+		jobID = snap.ID
+	}
+	// Warm walks newest first, so each entry goes behind the ones before
+	// it and the front of the LRU stays the newest.
+	return s.install(spec, p, stats, jobID, true)
+}
+
+// install places a finished artifact into the cache as a done entry — the
+// warm-start and store-less accept paths — unless the key is already
+// cached, and reports whether it did. lru inserts the entry as the least
+// recently used instead of the most.
+func (s *Server) install(spec GenerateSpec, p *mps.Portfolio, stats mps.Stats, jobID string, lru bool) bool {
+	e := &entry{key: spec.key(), spec: spec, jobID: jobID, ready: make(chan struct{})}
+	e.set(p, stats, nil)
+	// Consume the entry's start and close ready before publication so a
+	// later request treats it as finished; the field writes above
+	// happen-before any start.Do return or ready receive.
+	e.start.Do(func() {})
+	close(e.ready)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, exists := s.cache[e.key]; exists {
+		return false
+	}
+	if lru {
+		e.elem = s.order.PushBack(e)
+	} else {
+		e.elem = s.order.PushFront(e)
+	}
+	s.cache[e.key] = e
+	s.evictLocked()
+	return true
 }
 
 // ResumeInterrupted resubmits generation jobs that a previous process
@@ -1944,7 +1902,7 @@ func (s *Server) handleInstantiate(w http.ResponseWriter, r *http.Request) {
 	}
 	instSpan := tr.StartSpan(obs.StageInstantiate)
 	instSpan.SetKey(e.key)
-	batch := e.batcher().InstantiateBatchWorkers(queries, s.cfg.Workers)
+	batch := e.art.InstantiateBatchWorkers(queries, s.cfg.Workers)
 	s.metrics.endSpan(instSpan)
 
 	results := make([]queryResult, len(batch))
@@ -1988,12 +1946,16 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, erro
 	return body, nil
 }
 
-// decodeJSONBytes strictly decodes an already-read body into v.
+// decodeJSONBytes strictly decodes an already-read body into v: unknown
+// fields and anything but whitespace after the one JSON value are errors.
 func decodeJSONBytes(body []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
+	}
+	if len(bytes.Trim(body[dec.InputOffset():], " \t\r\n")) != 0 {
+		return fmt.Errorf("bad request body: trailing data after JSON value")
 	}
 	return nil
 }

@@ -3,14 +3,17 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"mps"
 	"mps/internal/circuits"
 	"mps/internal/store"
 )
@@ -180,6 +183,63 @@ func TestGenerateThenInstantiate(t *testing.T) {
 	if len(ls.Structures) != 1 || ls.Structures[0].Key != info.Key {
 		t.Fatalf("listing wrong: %+v", ls.Structures)
 	}
+
+	// Served answers equal the library's: the same spec generated through
+	// the facade (deterministic per seed) answers one covered and one
+	// backup query exactly as the daemon does, field for field.
+	spec := testSpec(1)
+	if err := spec.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	c := circuits.MustByName(spec.Circuit)
+	lib, _, err := mps.Generate(c, spec.options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := lib.Get(lib.IDs()[0])
+	covered := map[string][]int{"ws": make([]int, c.N()), "hs": make([]int, c.N())}
+	for i := range c.Blocks {
+		covered["ws"][i] = (pl.WLo[i] + pl.WHi[i]) / 2
+		covered["hs"][i] = (pl.HLo[i] + pl.HHi[i]) / 2
+	}
+	backup := testQuery(t, 1)
+	if r, err := lib.Instantiate(backup["ws"], backup["hs"]); err != nil || !r.FromBackup {
+		t.Fatalf("library answers the backup probe from a stored placement (err %v)", err)
+	}
+	var got struct {
+		Results []struct {
+			X           []int `json:"x"`
+			Y           []int `json:"y"`
+			PlacementID int   `json:"placement_id"`
+			Member      int   `json:"member"`
+			FromBackup  bool  `json:"from_backup"`
+		} `json:"results"`
+	}
+	queries := []map[string][]int{covered, backup}
+	code, body = postJSON(t, ts.URL+"/v1/instantiate",
+		map[string]any{"key": info.Key, "queries": queries}, &got)
+	if code != http.StatusOK || len(got.Results) != len(queries) {
+		t.Fatalf("instantiate covered+backup: %d %s", code, body)
+	}
+	for i, q := range queries {
+		want, err := lib.Instantiate(q["ws"], q["hs"])
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantMember := 0
+		if want.FromBackup {
+			wantMember = -1
+		}
+		r := got.Results[i]
+		if !slices.Equal(r.X, want.X) || !slices.Equal(r.Y, want.Y) ||
+			r.PlacementID != want.PlacementID || r.FromBackup != want.FromBackup ||
+			r.Member != wantMember {
+			t.Errorf("query %d: served %+v, library %+v (member %d)", i, r, want, wantMember)
+		}
+	}
+	if got.Results[0].FromBackup || !got.Results[1].FromBackup {
+		t.Errorf("want one stored and one backup answer, got %+v", got.Results)
+	}
 }
 
 func TestInstantiateErrors(t *testing.T) {
@@ -232,6 +292,33 @@ func TestInstantiateErrors(t *testing.T) {
 	}, nil)
 	if code != http.StatusBadRequest {
 		t.Errorf("over-budget inline spec: got %d, want 400", code)
+	}
+
+	// A body is exactly one JSON value: trailing bytes are a 400 naming
+	// them, while trailing whitespace is fine — the last body decodes and
+	// gets the unknown-key 404.
+	valid := `{"key":"nope","queries":[{"ws":[1],"hs":[1]}]}`
+	for _, tc := range []struct {
+		body string
+		want int
+	}{
+		{`{"key":"a"}garbage`, http.StatusBadRequest},
+		{`{"key":"a"} {"key":"b"}`, http.StatusBadRequest},
+		{valid + "garbage", http.StatusBadRequest},
+		{valid + "\n", http.StatusNotFound},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/instantiate", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("body %q: got %d %s, want %d", tc.body, resp.StatusCode, msg, tc.want)
+		}
+		if tc.want == http.StatusBadRequest && !strings.Contains(string(msg), "trailing data") {
+			t.Errorf("body %q: error %s does not name the trailing data", tc.body, msg)
+		}
 	}
 
 	// Unknown circuit and absurd budget are rejected up front.

@@ -287,10 +287,10 @@ func TestWeightedPortfolioWarmRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	e, ok := s2.lookup(info.Key)
-	if !ok || e.p == nil {
+	if !ok || e.art == nil {
 		t.Fatalf("warmed server lacks portfolio entry %q", info.Key)
 	}
-	got := e.p.MemberWeights()
+	got := e.art.MemberWeights()
 	if len(got) != 2 || got[0] != (mps.Weights{Area: 1}) || got[1] != (mps.Weights{Wire: 1}) {
 		t.Errorf("restored member weights = %+v, want [{Area:1} {Wire:1}]", got)
 	}

@@ -90,7 +90,14 @@ func TestBinaryRoundTripTable1(t *testing.T) {
 			sweepCompare(t, c, s, fromBin, 150, 11)
 
 			gobPath := filepath.Join(dir, name+".gob.mps")
-			if err := s.SaveFileFormat(gobPath, FormatGob); err != nil {
+			gobFile, err := os.Create(gobPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Structure.Save(gobFile); err != nil {
+				t.Fatal(err)
+			}
+			if err := gobFile.Close(); err != nil {
 				t.Fatal(err)
 			}
 			fromGob, err := LoadFile(gobPath, c)

@@ -250,22 +250,25 @@ func TestRunWeightLadderDefault(t *testing.T) {
 		t.Error("ladder member 1 differs from a standalone wire-heavy run at its derived seed")
 	}
 
-	// The opt-out portfolio is the historical seed-only artifact: its
-	// members match the deprecated wrapper's output bit for bit.
-	legacy, _, err := GeneratePortfolio(c, tinyOpts(9), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The opt-out portfolio is the historical seed-only artifact: each
+	// member matches a standalone default-objective run at its derived
+	// seed bit for bit.
 	for i := 0; i < 2; i++ {
+		mopts := tinyOpts(9)
+		mopts.Seed = PortfolioMemberSeed(9, i)
+		legacy, err := Run(context.Background(), Request{Circuit: c, Options: mopts})
+		if err != nil {
+			t.Fatal(err)
+		}
 		var x, y bytes.Buffer
 		if err := (&Structure{Structure: optOut.Portfolio.Member(i)}).SaveBinary(&x); err != nil {
 			t.Fatal(err)
 		}
-		if err := (&Structure{Structure: legacy.Member(i)}).SaveBinary(&y); err != nil {
+		if err := legacy.Structure.SaveBinary(&y); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(x.Bytes(), y.Bytes()) {
-			t.Errorf("opted-out member %d differs from the deprecated wrapper's member", i)
+			t.Errorf("opted-out member %d differs from a standalone run at its derived seed", i)
 		}
 	}
 }
