@@ -16,9 +16,9 @@
 //	     [-trace-buffer 512] [-trace-slow 2s] [-trace-sample 0.1]
 //
 // With -store-dir, generated structures are persisted to a disk-backed
-// repository (atomic v2 binary files plus a JSON manifest) and the daemon
-// warm-starts from it: up to -store-warm structures (default: the cache
-// size) are loaded into the LRU at boot, and any cache miss consults the
+// repository (atomic v3 binary files plus a JSON manifest) and the daemon
+// warm-starts from it: up to -store-warm cache entries (default: the cache
+// size), portfolios included, are loaded into the LRU at boot, and any cache miss consults the
 // store before regenerating, so a restart never repeats an annealing run.
 //
 // Generation runs as a background workload on a job scheduler with
@@ -53,8 +53,8 @@
 // served as one entry that routes every query to the covering member with
 // the smallest instantiated area and falls back to the backup only when
 // no member covers it. Members share cache keys, store files, and jobs
-// with identical single-structure specs; with -store-dir the grouping is
-// recorded in the manifest and warm-starts like any structure.
+// with identical single-structure specs; with -store-dir the portfolio is
+// a manifest row listing its member keys and warm-starts with them.
 //
 // Endpoints:
 //
@@ -136,7 +136,7 @@ func main() {
 	storeDir := flag.String("store-dir", "",
 		"persistent structure store directory (empty = memory-only)")
 	storeWarm := flag.Int("store-warm", -1,
-		"structures to warm-load from the store at startup (-1 = cache size, 0 = disable)")
+		"cache entries to warm-load from the store at startup (-1 = cache size, 0 = disable)")
 	genWorkers := flag.Int("gen-workers", 2,
 		"generation job workers (concurrent annealing runs)")
 	jobsDir := flag.String("jobs-dir", "",
@@ -244,9 +244,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		st := cfg.Store.Stats()
 		log.Printf("warm-started %d cache entries from %s (%d structures + %d portfolios persisted) in %s",
-			n, *storeDir, cfg.Store.Len(), len(cfg.Store.Portfolios()),
-			time.Since(start).Round(time.Millisecond))
+			n, *storeDir, st.Entries, st.Portfolios, time.Since(start).Round(time.Millisecond))
 	}
 
 	if interrupted := sched.Interrupted(); len(interrupted) > 0 {

@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -258,11 +259,11 @@ func (s *Server) fetchFrom(sp obs.SpanRef, peer string, spec GenerateSpec) (*mps
 	if err != nil {
 		return nil, mps.Stats{}, fmt.Errorf("decoding peer artifact: %w", err)
 	}
-	var stats mps.Stats
-	if cov := resp.Header.Get(clusterCoverageHeader); cov != "" {
-		fmt.Sscanf(cov, "%g", &stats.FinalCoverage)
+	coverage, err := parseCoverage(resp.Header.Get(clusterCoverageHeader))
+	if err != nil {
+		return nil, mps.Stats{}, err
 	}
-	return single(spec.withBackup(cs)), stats, nil
+	return single(spec.withBackup(cs)), mps.Stats{FinalCoverage: coverage}, nil
 }
 
 // generateOnOwner asks the key's owner to generate spec (a marked,
@@ -324,7 +325,7 @@ func (s *Server) entryForKey(ctx context.Context, key string) (*entry, error) {
 	if e, ok := s.lookup(key); ok {
 		return e, nil
 	}
-	if spec, ok := s.specFromStore(key); ok {
+	if spec, _, ok := s.specFromStore(key); ok {
 		e, _, err := s.structureFor(ctx, spec)
 		if err == nil && e.key != key {
 			return nil, fmt.Errorf("store row for %s rebuilds to key %s (key drift)", key, e.key)
@@ -353,20 +354,17 @@ func forwardedFromCtx(ctx context.Context) bool {
 }
 
 // specFromStore rebuilds the GenerateSpec recorded for key in the local
-// store manifest (structure row or portfolio grouping row).
-func (s *Server) specFromStore(key string) (GenerateSpec, bool) {
+// store manifest, returning it with the row (file or portfolio row).
+func (s *Server) specFromStore(key string) (GenerateSpec, store.Meta, bool) {
 	if s.cfg.Store == nil {
-		return GenerateSpec{}, false
+		return GenerateSpec{}, store.Meta{}, false
 	}
-	var opts string
-	if m, ok := s.cfg.Store.Stat(key); ok {
-		opts = m.Options
-	} else if row, ok := s.cfg.Store.GetPortfolio(key); ok {
-		opts = row.Options
-	} else {
-		return GenerateSpec{}, false
+	m, ok := s.cfg.Store.Stat(key)
+	if !ok {
+		return GenerateSpec{}, store.Meta{}, false
 	}
-	return specFromOptions(key, opts, s.logf)
+	spec, ok := specFromOptions(key, m.Options, s.logf)
+	return spec, m, ok
 }
 
 // specFromPeer asks the key's owner which spec the key denotes (metadata
@@ -422,6 +420,20 @@ func specFromOptions(key, opts string, logf func(string, ...any)) (GenerateSpec,
 	return spec, true
 }
 
+// parseCoverage reads a clusterCoverageHeader value: absent means 0, and
+// anything but a finite number is an error — a NaN or Inf would poison the
+// entry's listing and the store manifest, which JSON cannot encode.
+func parseCoverage(h string) (float64, error) {
+	if h == "" {
+		return 0, nil
+	}
+	c, err := strconv.ParseFloat(h, 64)
+	if err != nil || math.IsNaN(c) || math.IsInf(c, 0) {
+		return 0, fmt.Errorf("invalid %s %q: want a finite number", clusterCoverageHeader, h)
+	}
+	return c, nil
+}
+
 // Cluster transfer headers. clusterSpecHeader carries the canonical spec
 // JSON (single-line by construction); clusterCoverageHeader and
 // clusterPlacementsHeader carry the manifest snapshot numbers.
@@ -459,27 +471,22 @@ func (s *Server) handleClusterStructure(w http.ResponseWriter, r *http.Request) 
 		}
 		return
 	}
-	if spec, ok := s.specFromStore(key); ok {
+	if spec, m, ok := s.specFromStore(key); ok {
 		w.Header().Set(clusterSpecHeader, string(mustSpecJSON(spec)))
-		if m, ok := s.cfg.Store.Stat(key); ok {
-			w.Header().Set(clusterCoverageHeader, strconv.FormatFloat(m.Coverage, 'g', -1, 64))
-			w.Header().Set(clusterPlacementsHeader, strconv.Itoa(m.Placements))
-			if metaOnly {
-				w.WriteHeader(http.StatusOK)
-				return
-			}
-			data, _, err := s.cfg.Store.ReadFile(key)
-			if err != nil {
-				s.loadErrs.Add(1)
-				writeError(w, http.StatusInternalServerError, err.Error())
-				return
-			}
-			w.Header().Set("Content-Type", "application/octet-stream")
-			w.Write(data)
+		w.Header().Set(clusterCoverageHeader, strconv.FormatFloat(m.Coverage, 'g', -1, 64))
+		w.Header().Set(clusterPlacementsHeader, strconv.Itoa(m.Placements))
+		if metaOnly || len(m.Members) > 0 { // portfolio rows ship meta only
+			w.WriteHeader(http.StatusOK)
 			return
 		}
-		// Portfolio grouping row: meta only.
-		w.WriteHeader(http.StatusOK)
+		data, _, err := s.cfg.Store.ReadFile(key)
+		if err != nil {
+			s.loadErrs.Add(1)
+			writeError(w, http.StatusInternalServerError, err.Error())
+			return
+		}
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Write(data)
 		return
 	}
 	writeError(w, http.StatusNotFound, fmt.Sprintf("structure %q not held here", key))
@@ -500,7 +507,7 @@ func (s *Server) handleClusterAccept(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if spec.Portfolio > 1 {
-		writeError(w, http.StatusBadRequest, "portfolio groupings do not transfer (members do)")
+		writeError(w, http.StatusBadRequest, "portfolios do not transfer (members do)")
 		return
 	}
 	circuit, err := mps.Benchmark(spec.Circuit)
@@ -518,15 +525,13 @@ func (s *Server) handleClusterAccept(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid artifact: %v", err))
 		return
 	}
-	coverage, _ := strconv.ParseFloat(r.Header.Get(clusterCoverageHeader), 64)
+	coverage, err := parseCoverage(r.Header.Get(clusterCoverageHeader))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	if s.cfg.Store != nil {
-		if _, err := s.cfg.Store.Put(store.Meta{
-			Key:      spec.key(),
-			Circuit:  spec.Circuit,
-			Seed:     spec.Seed,
-			Options:  string(mustSpecJSON(spec)),
-			Coverage: coverage,
-		}, cs); err != nil {
+		if _, err := s.cfg.Store.Put(storeRow(spec, coverage), cs); err != nil {
 			writeError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
@@ -551,8 +556,8 @@ type RebalanceReport struct {
 // file verbatim as the transfer format. With drop, successfully
 // transferred local copies are deleted (run without drop first: keeping
 // the copy is free read-replica capacity until space matters). Portfolio
-// grouping rows never transfer — the row is a local listing convenience;
-// the artifact is its members, which transfer under their own keys.
+// rows are skipped, uncounted: a portfolio's artifact is its members,
+// which transfer under their own keys.
 func (s *Server) Rebalance(ctx context.Context, drop bool) (RebalanceReport, error) {
 	if s.cluster == nil {
 		return RebalanceReport{}, fmt.Errorf("serve: not in cluster mode")
@@ -568,6 +573,9 @@ func (s *Server) Rebalance(ctx context.Context, drop bool) (RebalanceReport, err
 	for _, m := range s.cfg.Store.List() {
 		if ctx.Err() != nil {
 			return rep, ctx.Err()
+		}
+		if len(m.Members) > 0 {
+			continue // portfolio rows stay local; their members transfer
 		}
 		rep.Scanned++
 		owner := s.cluster.Owner(m.Key)

@@ -850,3 +850,70 @@ func tryJSON(url string, body any) (int, []byte, error) {
 	data, err := io.ReadAll(resp.Body)
 	return resp.StatusCode, data, err
 }
+
+// TestClusterAcceptNonFiniteCoverage: an accept whose coverage header is
+// not a finite number answers 400 and stores nothing. A NaN row used to
+// reach the store manifest, which JSON cannot encode, so every later
+// manifest rewrite failed and later generations were lost on reopen.
+func TestClusterAcceptNonFiniteCoverage(t *testing.T) {
+	fleet := newTestFleet(t, fleetConfig{n: 1, stores: true})
+	node := fleet.nodes[0]
+	first, accepted, later := testSpec(610), testSpec(611), testSpec(612)
+	if status, _, body := doClusterJSON(t, http.MethodPost, node.url+"/v1/structures", first, nil); status != http.StatusOK {
+		t.Fatalf("generate: %d %s", status, body)
+	}
+	node.s.Flush()
+	artifact, _, err := node.store.ReadFile(specKey(t, first))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	accept := func(coverage string) (int, []byte) {
+		t.Helper()
+		norm := accepted
+		if err := norm.normalize(); err != nil {
+			t.Fatal(err)
+		}
+		req, err := http.NewRequest(http.MethodPost, node.url+"/v1/cluster/accept", bytes.NewReader(artifact))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(clusterSpecHeader, string(mustSpecJSON(norm)))
+		req.Header.Set(clusterCoverageHeader, coverage)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, body
+	}
+	for _, bad := range []string{"NaN", "Inf", "-Inf", "1e999", "abc"} {
+		if status, body := accept(bad); status != http.StatusBadRequest {
+			t.Errorf("accept with coverage %q: %d %s, want 400", bad, status, body)
+		}
+	}
+	if _, ok := node.store.Stat(specKey(t, accepted)); ok {
+		t.Fatal("a rejected accept reached the store")
+	}
+	if status, body := accept("0.5"); status != http.StatusOK {
+		t.Fatalf("accept with a finite coverage: %d %s", status, body)
+	}
+
+	// A later generation persists, and both writes survive a reopen.
+	if status, _, body := doClusterJSON(t, http.MethodPost, node.url+"/v1/structures", later, nil); status != http.StatusOK {
+		t.Fatalf("generate after the rejected accepts: %d %s", status, body)
+	}
+	node.s.Flush()
+	if n := node.s.persistErrs.Load(); n != 0 {
+		t.Fatalf("%d store persist errors, want 0", n)
+	}
+	reopened := openStore(t, node.store.Root())
+	for _, spec := range []GenerateSpec{accepted, later} {
+		if m, ok := reopened.Stat(specKey(t, spec)); !ok {
+			t.Errorf("%s missing from the reopened store", specKey(t, spec))
+		} else if spec.Seed == accepted.Seed && m.Coverage != 0.5 {
+			t.Errorf("accepted row coverage %v, want 0.5", m.Coverage)
+		}
+	}
+}

@@ -189,7 +189,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 				return float64(st.Stats().Entries)
 			})
 		reg.GaugeFunc("mps_store_portfolios",
-			"Portfolio grouping rows in the disk store manifest.", func() float64 {
+			"Portfolio rows in the disk store manifest.", func() float64 {
 				return float64(st.Stats().Portfolios)
 			})
 		reg.GaugeFunc("mps_store_bytes",

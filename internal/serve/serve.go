@@ -775,7 +775,7 @@ func (s *Server) submitGeneration(tr *obs.Trace, e *entry, specJSON []byte) {
 				s.persistWG.Add(1)
 				go func() {
 					defer s.persistWG.Done()
-					s.persist(e.spec, genArt.Member(0), genStats.FinalCoverage)
+					s.persist(e.spec, genArt, genStats.FinalCoverage)
 				}()
 			}
 			return genErr
@@ -855,11 +855,12 @@ func (s *Server) runGeneration(ctx context.Context, spec GenerateSpec, report fu
 // members, assembles the routing layer, and publishes. A fully persisted
 // portfolio still assembles in milliseconds (every member ensure is a
 // store read-through, no annealing) while its members land as shared
-// cache entries; there is deliberately no grouping-row fast path here,
+// cache entries; there is deliberately no portfolio-row fast path here,
 // because it would load private member copies and defeat that sharing —
-// the grouping row exists for Warm and listings. This is the one place
-// the scheduler runs cooperative multi-job work for a single logical
-// artifact: the K jobs proceed in parallel up to the worker-pool bound.
+// the portfolio row exists for Warm, listings, and key lookups. This is
+// the one place the scheduler runs cooperative multi-job work for a
+// single logical artifact: the K jobs proceed in parallel up to the
+// worker-pool bound.
 func (s *Server) startPortfolioWork(tr *obs.Trace, parent obs.SpanID, e *entry) {
 	k := e.spec.Portfolio
 	members := make([]*entry, k)
@@ -912,7 +913,7 @@ func (s *Server) startPortfolioWork(tr *obs.Trace, parent obs.SpanID, e *entry) 
 			s.persistWG.Add(1)
 			go func() {
 				defer s.persistWG.Done()
-				s.persistPortfolio(e.spec, p, stats.FinalCoverage)
+				s.persist(e.spec, p, stats.FinalCoverage)
 			}()
 		}
 		s.publishDone(e, mustSpecJSON(e.spec), p, stats)
@@ -935,90 +936,6 @@ func mustSpecJSON(spec GenerateSpec) json.RawMessage {
 		panic(fmt.Sprintf("serve: encoding spec: %v", err))
 	}
 	return b
-}
-
-// loadPortfolioFromStore rehydrates a whole portfolio from the store's
-// grouping row for Warm: members come from the cache when the structure
-// warm pass already loaded them, else through the ordinary structure
-// read-through. (nil, _, nil) means "not available" — no store, no
-// grouping row, or a member that no longer loads (a cold request for the
-// spec fans out and regenerates only what is missing).
-func (s *Server) loadPortfolioFromStore(spec GenerateSpec) (*mps.Portfolio, mps.Stats, error) {
-	if s.cfg.Store == nil {
-		return nil, mps.Stats{}, nil
-	}
-	row, ok := s.cfg.Store.GetPortfolio(spec.key())
-	if !ok {
-		return nil, mps.Stats{}, nil
-	}
-	if row.K() != spec.Portfolio {
-		s.logf("store: portfolio row %s has %d members, spec wants %d (ignoring row)",
-			spec.key(), row.K(), spec.Portfolio)
-		return nil, mps.Stats{}, nil
-	}
-	members := make([]*mps.Structure, spec.Portfolio)
-	for i := range members {
-		mspec := spec.memberSpec(i)
-		// Cache first: on a warm start the structure pass (and on a cold
-		// request, earlier traffic) often holds the member already — reuse
-		// it so the portfolio shares the cached structure and its compiled
-		// index instead of decoding a second copy from disk.
-		if me, ok := s.lookup(mspec.key()); ok {
-			members[i] = structureOf(me.art)
-			continue
-		}
-		mp, _, err := s.loadFromStore(nil, 0, mspec)
-		if err != nil || mp == nil {
-			return nil, mps.Stats{}, err
-		}
-		members[i] = structureOf(mp)
-	}
-	p, err := mps.NewPortfolioWeighted(members, spec.resolvedMemberWeights())
-	if err != nil {
-		s.loadErrs.Add(1)
-		s.logf("store: assembling portfolio %s: %v (regenerating)", spec.key(), err)
-		return nil, mps.Stats{}, err
-	}
-	return p, mps.Stats{FinalCoverage: row.Coverage}, nil
-}
-
-// persistPortfolio records the portfolio grouping row, first making sure
-// every member structure is persisted: member entries persist their own
-// generations in the background, so a member may not have landed yet —
-// the duplicate Put is atomic and idempotent (same key, same filename,
-// same content). Runs off the request path under persistWG.
-func (s *Server) persistPortfolio(spec GenerateSpec, p *mps.Portfolio, coverage float64) {
-	memberKeys := make([]string, p.K())
-	for i, m := range p.Members() {
-		mspec := spec.memberSpec(i)
-		memberKeys[i] = mspec.key()
-		if _, ok := s.cfg.Store.Stat(memberKeys[i]); !ok {
-			s.persist(mspec, m, m.Coverage())
-		}
-	}
-	var memberWeights []string
-	if wts := spec.resolvedMemberWeights(); wts != nil {
-		memberWeights = make([]string, len(wts))
-		for i, w := range wts {
-			if !w.IsZero() {
-				memberWeights[i] = w.Key()
-			}
-		}
-	}
-	_, err := s.cfg.Store.RecordPortfolio(store.PortfolioMeta{
-		Key:           spec.key(),
-		Circuit:       spec.Circuit,
-		Seed:          spec.Seed,
-		Options:       string(mustSpecJSON(spec)),
-		Members:       memberKeys,
-		MemberWeights: memberWeights,
-		Placements:    p.NumPlacements(),
-		Coverage:      coverage,
-	})
-	if err != nil {
-		s.persistErrs.Add(1)
-		s.logf("store: recording portfolio %s: %v", spec.key(), err)
-	}
 }
 
 // structureFor returns the cached structure for the spec, scheduling its
@@ -1160,26 +1077,44 @@ func (s *Server) loadFromStore(tr *obs.Trace, parent obs.SpanID, spec GenerateSp
 	return p, mps.Stats{FinalCoverage: meta.Coverage}, nil
 }
 
-// persist writes one finished generation to the disk store, recording the
-// normalized spec in the manifest so a restarted server can rebuild the
-// cache entry without guessing.
-func (s *Server) persist(spec GenerateSpec, st *core.Structure, coverage float64) {
-	specJSON, err := json.Marshal(spec)
+// persist writes a finished artifact to the disk store: a single
+// structure as a file row, a portfolio as a portfolio row after its
+// members' file rows. Member entries persist their own generations in the
+// background, so a member may not have landed yet — the duplicate Put is
+// atomic and idempotent (same key, same filename, same content).
+func (s *Server) persist(spec GenerateSpec, p *mps.Portfolio, coverage float64) {
+	row := storeRow(spec, coverage)
+	var err error
+	if spec.Portfolio <= 1 {
+		_, err = s.cfg.Store.Put(row, p.Member(0))
+	} else {
+		row.Placements = p.NumPlacements()
+		for i, m := range p.Members() {
+			mrow := storeRow(spec.memberSpec(i), m.Coverage())
+			row.Members = append(row.Members, mrow.Key)
+			if _, ok := s.cfg.Store.Stat(mrow.Key); !ok && err == nil {
+				_, err = s.cfg.Store.Put(mrow, m)
+			}
+		}
+		if err == nil {
+			_, err = s.cfg.Store.RecordPortfolio(row)
+		}
+	}
 	if err != nil {
 		s.persistErrs.Add(1)
-		s.logf("store: encoding spec for %s: %v", spec.key(), err)
-		return
+		s.logf("store: persisting %s: %v", row.Key, err)
 	}
-	_, err = s.cfg.Store.Put(store.Meta{
+}
+
+// storeRow is the manifest row for spec, recording the normalized spec so
+// a restarted server can rebuild the cache entry without guessing.
+func storeRow(spec GenerateSpec, coverage float64) store.Meta {
+	return store.Meta{
 		Key:      spec.key(),
 		Circuit:  spec.Circuit,
 		Seed:     spec.Seed,
-		Options:  string(specJSON),
+		Options:  string(mustSpecJSON(spec)),
 		Coverage: coverage,
-	}, st)
-	if err != nil {
-		s.persistErrs.Add(1)
-		s.logf("store: persisting %s: %v", spec.key(), err)
 	}
 }
 
@@ -1188,12 +1123,11 @@ func (s *Server) persist(spec GenerateSpec, st *core.Structure, coverage float64
 // so finished generations are never lost to a racing exit.
 func (s *Server) Flush() { s.persistWG.Wait() }
 
-// Warm preloads up to limit structures — and then up to limit portfolio
-// groupings — from the disk store into the LRU, newest first (limit <= 0
-// or above the cache size clamps to the cache size). It returns how many
-// cache entries were loaded; entries that fail to parse or load are
-// logged and skipped, never fatal — a warm start must not keep a daemon
-// from booting.
+// Warm preloads up to limit cache entries from the disk store into the
+// LRU, walking the manifest's rows newest first (limit <= 0 or above the
+// cache size clamps to the cache size). It returns how many entries it
+// installed; rows that fail to parse or load are logged and skipped, never
+// fatal — a warm start must not keep a daemon from booting.
 func (s *Server) Warm(limit int) (int, error) {
 	if s.cfg.Store == nil {
 		return 0, fmt.Errorf("serve: no store configured")
@@ -1201,62 +1135,90 @@ func (s *Server) Warm(limit int) (int, error) {
 	if limit <= 0 || limit > s.cfg.CacheSize {
 		limit = s.cfg.CacheSize
 	}
-	structures := 0
-	for _, m := range s.cfg.Store.List() {
-		if structures >= limit {
+	n := 0
+	for _, row := range s.cfg.Store.List() {
+		if n >= limit {
 			break
 		}
-		if s.warmRow(m.Key, m.Options) {
-			structures++
-		}
+		n += s.warmRow(row, limit-n)
 	}
-	// Portfolios get their own budget of the same size: a store holding
-	// limit structures must not starve every grouping row (the LRU may
-	// transiently evict the coldest warmed structures to make room, which
-	// is the right trade — a portfolio entry answers for K members).
-	portfolios := 0
-	for _, row := range s.cfg.Store.Portfolios() {
-		if portfolios >= limit {
-			break
-		}
-		if s.warmRow(row.Key, row.Options) {
-			portfolios++
-		}
-	}
-	return structures + portfolios, nil
+	return n, nil
 }
 
-// warmRow loads the artifact of one manifest row (a structure row or a
-// portfolio grouping row: its key and recorded spec JSON) and installs it
-// as a done cache entry, reporting whether it did. A portfolio row's
-// members come from the cache when the structure pass just loaded them,
-// else through the ordinary read-through.
-func (s *Server) warmRow(key, options string) bool {
-	spec, ok := specFromOptions(key, options, s.logf)
+// warmRow installs one manifest row's artifact as a done cache entry,
+// making at most budget installs, and returns how many it made. A
+// portfolio row first warms each uncached member through its own file
+// row, so members stay shared cache entries, then installs the portfolio
+// assembled from the cached members — and only when the portfolio and
+// those members all fit the budget.
+func (s *Server) warmRow(row store.Meta, budget int) int {
+	spec, ok := specFromOptions(row.Key, row.Options, s.logf)
 	if !ok {
-		return false
+		return 0
 	}
+	k := len(row.Members)
+	if (k > 0) != (spec.Portfolio > 1) || (k > 0 && k != spec.Portfolio) {
+		s.logf("store: row %s lists %d members, its spec wants %d (skipping)", row.Key, k, spec.Portfolio)
+		return 0
+	}
+	installed := 0
 	var p *mps.Portfolio
 	var stats mps.Stats
 	var err error
-	if spec.Portfolio > 1 {
-		p, stats, err = s.loadPortfolioFromStore(spec)
+	if k == 0 {
+		if p, stats, err = s.loadFromStore(nil, 0, spec); err != nil || p == nil {
+			return 0 // already logged and counted where it failed
+		}
 	} else {
-		p, stats, err = s.loadFromStore(nil, 0, spec)
-	}
-	if err != nil || p == nil {
-		return false // already logged and counted where it failed
+		var uncached []store.Meta
+		for i, key := range row.Members {
+			if key != spec.memberSpec(i).key() {
+				s.logf("store: row %s member %d is %s, its spec derives %s (skipping)",
+					row.Key, i, key, spec.memberSpec(i).key())
+				return 0
+			}
+			if _, ok := s.lookup(key); !ok {
+				m, ok := s.cfg.Store.Stat(key)
+				if !ok {
+					return 0 // member deleted since List
+				}
+				uncached = append(uncached, m)
+			}
+		}
+		if len(uncached) >= budget {
+			return 0 // no room for the members plus the portfolio
+		}
+		for _, m := range uncached {
+			installed += s.warmRow(m, 1)
+		}
+		members := make([]*mps.Structure, k)
+		for i, key := range row.Members {
+			me, ok := s.lookup(key)
+			if !ok {
+				return installed // a member failed to load
+			}
+			members[i] = structureOf(me.art)
+		}
+		if p, err = mps.NewPortfolioWeighted(members, spec.resolvedMemberWeights()); err != nil {
+			s.loadErrs.Add(1)
+			s.logf("store: assembling portfolio %s: %v (skipping)", row.Key, err)
+			return installed
+		}
+		stats = mps.Stats{FinalCoverage: row.Coverage}
 	}
 	// Record the materialization in the job history so /v1/jobs answers
 	// for warm keys (idempotent across restarts when the scheduler
 	// persists state).
 	jobID := ""
-	if snap, err := s.sched.RecordDone(key, []byte(options), jobsProgress(p, stats)); err == nil {
+	if snap, err := s.sched.RecordDone(row.Key, []byte(row.Options), jobsProgress(p, stats)); err == nil {
 		jobID = snap.ID
 	}
 	// Warm walks newest first, so each entry goes behind the ones before
 	// it and the front of the LRU stays the newest.
-	return s.install(spec, p, stats, jobID, true)
+	if s.install(spec, p, stats, jobID, true) {
+		installed++
+	}
+	return installed
 }
 
 // install places a finished artifact into the cache as a done entry — the

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mps/internal/jobs"
+	"mps/internal/store"
 )
 
 // portfolioSpec is a seconds-scale K=3 portfolio spec for the smallest
@@ -16,6 +17,18 @@ func portfolioSpec(seed int64) GenerateSpec {
 	spec := testSpec(seed)
 	spec.Portfolio = 3
 	return spec
+}
+
+// portfolioRows returns the store's portfolio rows (rows listing members),
+// newest first.
+func portfolioRows(st *store.Dir) []store.Meta {
+	var rows []store.Meta
+	for _, m := range st.List() {
+		if len(m.Members) > 0 {
+			rows = append(rows, m)
+		}
+	}
+	return rows
 }
 
 // TestPortfolioGenerateAndInstantiate is the portfolio acceptance path:
@@ -129,7 +142,7 @@ func TestPortfolioJobSubmit(t *testing.T) {
 }
 
 // TestPortfolioWarmRestart: generate a portfolio on one server, restart
-// over the same store directory, and the portfolio (grouping row plus
+// over the same store directory, and the portfolio (portfolio row plus
 // member files) must serve instantiate traffic with zero annealing runs.
 func TestPortfolioWarmRestart(t *testing.T) {
 	dir := t.TempDir()
@@ -147,7 +160,7 @@ func TestPortfolioWarmRestart(t *testing.T) {
 	}
 
 	st := openStore(t, dir)
-	if rows := st.Portfolios(); len(rows) != 1 || rows[0].K() != 3 {
+	if rows := portfolioRows(st); len(rows) != 1 || len(rows[0].Members) != 3 {
 		t.Fatalf("persisted portfolio rows: %+v, want one K=3 row", rows)
 	}
 
@@ -156,7 +169,7 @@ func TestPortfolioWarmRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Three member structures plus the portfolio grouping.
+	// Three member structures plus the portfolio.
 	if n != 4 {
 		t.Fatalf("warm-loaded %d entries, want 4 (3 members + portfolio)", n)
 	}
@@ -182,6 +195,45 @@ func TestPortfolioWarmRestart(t *testing.T) {
 	}
 }
 
+// TestWarmBudget: Warm installs at most limit entries, and installs a
+// portfolio only together with its members — a K=3 portfolio needs a
+// budget of 4, and below that the walk warms member rows instead.
+func TestWarmBudget(t *testing.T) {
+	dir := t.TempDir()
+	spec := portfolioSpec(8)
+	s1 := New(Config{Store: openStore(t, dir), Logf: t.Logf})
+	t.Cleanup(s1.Close)
+	info, err := s1.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.Flush()
+
+	for limit := 1; limit <= 5; limit++ {
+		s := New(Config{Store: openStore(t, dir), Logf: t.Logf})
+		t.Cleanup(s.Close)
+		n, err := s.Warm(limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := min(limit, 4); n != want {
+			t.Errorf("Warm(%d) installed %d entries, want %d", limit, n, want)
+		}
+		e, ok := s.lookup(info.Key)
+		if ok != (limit >= 4) {
+			t.Errorf("Warm(%d): portfolio cached = %v, want %v", limit, ok, limit >= 4)
+		}
+		for i := 0; ok && i < e.art.K(); i++ {
+			if _, cached := s.lookup(e.spec.memberSpec(i).key()); !cached {
+				t.Errorf("Warm(%d) installed the portfolio without member %d", limit, i)
+			}
+		}
+		if runs := s.genRuns.Load(); runs != 0 {
+			t.Errorf("Warm(%d) ran %d generations", limit, runs)
+		}
+	}
+}
+
 // TestPortfolioReadThroughRegeneratesOnlyMissing: when one member's store
 // entry vanishes, a cold portfolio request reloads the surviving members
 // from disk and re-anneals only the missing one.
@@ -204,8 +256,8 @@ func TestPortfolioReadThroughRegeneratesOnlyMissing(t *testing.T) {
 	if err := st.Delete(norm.memberSpec(1).key()); err != nil {
 		t.Fatal(err)
 	}
-	// Deleting a member drops the grouping row too (unservable).
-	if rows := st.Portfolios(); len(rows) != 0 {
+	// Deleting a member drops the portfolio row too (unservable).
+	if rows := portfolioRows(st); len(rows) != 0 {
 		t.Fatalf("portfolio row survived member deletion: %+v", rows)
 	}
 
@@ -217,8 +269,8 @@ func TestPortfolioReadThroughRegeneratesOnlyMissing(t *testing.T) {
 		t.Fatalf("cold portfolio with one missing member ran %d generations, want 1", runs)
 	}
 	s2.Flush()
-	// The re-anneal re-persisted the member and re-recorded the grouping.
-	if rows := st.Portfolios(); len(rows) != 1 {
+	// The re-anneal re-persisted the member and re-recorded the portfolio row.
+	if rows := portfolioRows(st); len(rows) != 1 {
 		t.Fatalf("portfolio row not re-recorded after regeneration: %+v", rows)
 	}
 }

@@ -7,14 +7,18 @@ package serve
 // /v1/instantiate.
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"mps"
 	"mps/internal/circuits"
+	"mps/internal/store"
 )
 
 // weightedPortfolioSpec is a seconds-scale K=2 portfolio with explicitly
@@ -257,10 +261,10 @@ func TestInstantiateWeightedRouting(t *testing.T) {
 	t.Logf("%d/%d covered queries diverged across objectives", diverged, len(queries))
 }
 
-// TestWeightedPortfolioWarmRestart: the manifest's grouping row records
-// each member's generation weight key, and a restarted server rebuilds
-// the portfolio with the same member-weight metadata — warm starts keep
-// the weight record the generating server published.
+// TestWeightedPortfolioWarmRestart: the manifest's portfolio row records
+// the spec, member weights included, and a restarted server rebuilds the
+// portfolio with the same member-weight metadata — warm starts keep the
+// weight record the generating server published.
 func TestWeightedPortfolioWarmRestart(t *testing.T) {
 	dir := t.TempDir()
 	spec := weightedPortfolioSpec(5)
@@ -274,12 +278,9 @@ func TestWeightedPortfolioWarmRestart(t *testing.T) {
 	s1.Flush()
 
 	st := openStore(t, dir)
-	rows := st.Portfolios()
+	rows := portfolioRows(st)
 	if len(rows) != 1 {
 		t.Fatalf("persisted portfolio rows: %+v, want one", rows)
-	}
-	if got, want := strings.Join(rows[0].MemberWeights, ";"), "0,1,0;1,0,0"; got != want {
-		t.Fatalf("persisted member weights = %q, want %q", got, want)
 	}
 
 	s2, _ := newTestServer(t, Config{Store: st, Logf: t.Logf})
@@ -296,5 +297,82 @@ func TestWeightedPortfolioWarmRestart(t *testing.T) {
 	}
 	if runs := s2.genRuns.Load(); runs != 0 {
 		t.Errorf("warm restart ran %d generations, want 0", runs)
+	}
+}
+
+// TestWarmLegacyManifest: a store written in the version 1 manifest
+// format — portfolio rows in their own section, with member weight keys —
+// warm-starts with zero generation runs and the same restored member
+// weights.
+func TestWarmLegacyManifest(t *testing.T) {
+	dir := t.TempDir()
+	spec := weightedPortfolioSpec(6)
+
+	s1 := New(Config{Store: openStore(t, dir), Logf: t.Logf})
+	t.Cleanup(s1.Close)
+	info, err := s1.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.Flush()
+
+	// Rewrite the manifest as the version 1 format held it: file rows in
+	// entries, the portfolio row in portfolios with member_weights.
+	rows := openStore(t, dir).List()
+	var files []store.Meta
+	var p store.Meta
+	for _, m := range rows {
+		if len(m.Members) > 0 {
+			p = m
+		} else {
+			files = append(files, m)
+		}
+	}
+	if p.Key != info.Key || len(files) != 2 {
+		t.Fatalf("persisted rows: %+v, want two file rows and the portfolio", rows)
+	}
+	q := func(v any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	legacy := `{
+  "version": 1,
+  "entries": ` + q(files) + `,
+  "portfolios": [
+    {"key": ` + q(p.Key) + `, "circuit": ` + q(p.Circuit) + `, "seed": ` + q(p.Seed) + `,
+     "options": ` + q(p.Options) + `, "members": ` + q(p.Members) + `,
+     "member_weights": ["0,1,0", "1,0,0"],
+     "placements": ` + q(p.Placements) + `, "coverage": ` + q(p.Coverage) + `, "created": ` + q(p.Created) + `}
+  ]
+}`
+	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st := openStore(t, dir)
+	if got := q(st.List()); got != q(rows) {
+		t.Fatalf("legacy manifest opened to rows\n%s\nwant\n%s", got, q(rows))
+	}
+	s2, _ := newTestServer(t, Config{Store: st, Logf: t.Logf})
+	n, err := s2.Warm(-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 3 {
+		t.Fatalf("warm-loaded %d entries, want 3 (2 members + portfolio)", n)
+	}
+	e, ok := s2.lookup(info.Key)
+	if !ok {
+		t.Fatalf("warmed server lacks portfolio entry %q", info.Key)
+	}
+	got := e.art.MemberWeights()
+	if len(got) != 2 || got[0] != (mps.Weights{Area: 1}) || got[1] != (mps.Weights{Wire: 1}) {
+		t.Errorf("restored member weights = %+v, want [{Area:1} {Wire:1}]", got)
+	}
+	if runs := s2.genRuns.Load(); runs != 0 {
+		t.Errorf("warm start ran %d generations, want 0", runs)
 	}
 }

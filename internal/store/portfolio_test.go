@@ -3,8 +3,10 @@ package store
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 )
@@ -33,17 +35,17 @@ func TestPortfolioRecordGetListDelete(t *testing.T) {
 	members := putMembers(t, d, 3)
 
 	// Recording before members exist must fail.
-	if _, err := d.RecordPortfolio(PortfolioMeta{Key: "p-bad", Members: []string{"absent"}}); err == nil {
+	if _, err := d.RecordPortfolio(Meta{Key: "p-bad", Members: []string{"absent"}}); err == nil {
 		t.Error("RecordPortfolio with an unpersisted member succeeded, want error")
 	}
-	if _, err := d.RecordPortfolio(PortfolioMeta{Key: "", Members: members}); err == nil {
+	if _, err := d.RecordPortfolio(Meta{Key: "", Members: members}); err == nil {
 		t.Error("RecordPortfolio with an empty key succeeded, want error")
 	}
-	if _, err := d.RecordPortfolio(PortfolioMeta{Key: "p-empty"}); err == nil {
+	if _, err := d.RecordPortfolio(Meta{Key: "p-empty"}); err == nil {
 		t.Error("RecordPortfolio with no members succeeded, want error")
 	}
 
-	rec, err := d.RecordPortfolio(PortfolioMeta{
+	rec, err := d.RecordPortfolio(Meta{
 		Key: "p1", Circuit: "storetest", Seed: 1,
 		Options: `{"circuit":"storetest","portfolio":3}`, Members: members,
 		Placements: 18, Coverage: 0.25,
@@ -51,34 +53,34 @@ func TestPortfolioRecordGetListDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Created.IsZero() || rec.K() != 3 {
+	if rec.Created.IsZero() || len(rec.Members) != 3 {
 		t.Fatalf("RecordPortfolio did not complete the row: %+v", rec)
 	}
 
-	got, ok := d.GetPortfolio("p1")
-	if !ok || got.Key != "p1" || got.K() != 3 || got.Coverage != 0.25 {
-		t.Fatalf("GetPortfolio = %+v, %v", got, ok)
+	got, ok := d.Stat("p1")
+	if !ok || got.Key != "p1" || len(got.Members) != 3 || got.Coverage != 0.25 {
+		t.Fatalf("Stat = %+v, %v", got, ok)
 	}
-	if _, ok := d.GetPortfolio("absent"); ok {
-		t.Error("GetPortfolio found an absent key")
+	if _, ok := d.Stat("absent"); ok {
+		t.Error("Stat found an absent key")
 	}
-	if list := d.Portfolios(); len(list) != 1 || list[0].Key != "p1" {
-		t.Fatalf("Portfolios = %+v, want the one recorded row", list)
+	if list := portfolioRows(d); len(list) != 1 || list[0].Key != "p1" {
+		t.Fatalf("portfolio rows = %+v, want the one recorded row", list)
 	}
 
-	if err := d.DeletePortfolio("p1"); err != nil {
+	if err := d.Delete("p1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.DeletePortfolio("p1"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("second DeletePortfolio: %v, want ErrNotFound", err)
+	if err := d.Delete("p1"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("second Delete: %v, want ErrNotFound", err)
 	}
 	// Member entries survive a portfolio delete: they are shared entries.
 	if _, ok := d.Stat("m0"); !ok {
-		t.Error("DeletePortfolio removed a member entry")
+		t.Error("deleting the portfolio row removed a member entry")
 	}
 }
 
-// TestPortfolioSurvivesReopen checks grouping rows round-trip through the
+// TestPortfolioSurvivesReopen checks portfolio rows round-trip through the
 // manifest, and that a row whose member vanished is dropped on Open.
 func TestPortfolioSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
@@ -87,7 +89,7 @@ func TestPortfolioSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	members := putMembers(t, d, 3)
-	if _, err := d.RecordPortfolio(PortfolioMeta{Key: "p1", Circuit: "storetest", Members: members}); err != nil {
+	if _, err := d.RecordPortfolio(Meta{Key: "p1", Circuit: "storetest", Members: members}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -95,8 +97,8 @@ func TestPortfolioSurvivesReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := d2.GetPortfolio("p1")
-	if !ok || got.K() != 3 {
+	got, ok := d2.Stat("p1")
+	if !ok || len(got.Members) != 3 {
 		t.Fatalf("reopened store lost the portfolio row: %+v, %v", got, ok)
 	}
 
@@ -105,14 +107,14 @@ func TestPortfolioSurvivesReopen(t *testing.T) {
 	if err := d2.Delete("m1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := d2.GetPortfolio("p1"); ok {
+	if _, ok := d2.Stat("p1"); ok {
 		t.Error("portfolio row survived deleting one of its members")
 	}
 	d3, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := d3.GetPortfolio("p1"); ok {
+	if _, ok := d3.Stat("p1"); ok {
 		t.Error("reopened store resurrected a portfolio with a missing member")
 	}
 }
@@ -127,7 +129,7 @@ func TestOpenDropsCorruptPortfolioRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	members := putMembers(t, d, 2)
-	if _, err := d.RecordPortfolio(PortfolioMeta{Key: "good", Members: members}); err != nil {
+	if _, err := d.RecordPortfolio(Meta{Key: "good", Members: members}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -141,11 +143,11 @@ func TestOpenDropsCorruptPortfolioRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Portfolios = append(m.Portfolios,
-		PortfolioMeta{Key: "", Members: members},                            // no key
-		PortfolioMeta{Key: "no-members"},                                    // no members
-		PortfolioMeta{Key: "empty-member", Members: []string{""}},           // empty member key
-		PortfolioMeta{Key: "dangling", Members: []string{"m0", "vanished"}}, // missing member
-		PortfolioMeta{Key: "good2", Members: members, Created: time.Now()},  // servable
+		Meta{Key: "", Members: members},                            // no key
+		Meta{Key: "no-members"},                                    // no members
+		Meta{Key: "empty-member", Members: []string{""}},           // empty member key
+		Meta{Key: "dangling", Members: []string{"m0", "vanished"}}, // missing member
+		Meta{Key: "good2", Members: members, Created: time.Now()},  // servable
 	)
 	out, err := json.Marshal(m)
 	if err != nil {
@@ -159,24 +161,25 @@ func TestOpenDropsCorruptPortfolioRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := d2.GetPortfolio("good"); !ok {
+	if _, ok := d2.Stat("good"); !ok {
 		t.Error("Open dropped a servable portfolio row")
 	}
-	if _, ok := d2.GetPortfolio("good2"); !ok {
+	if _, ok := d2.Stat("good2"); !ok {
 		t.Error("Open dropped the second servable portfolio row")
 	}
 	for _, key := range []string{"", "no-members", "empty-member", "dangling"} {
-		if _, ok := d2.GetPortfolio(key); ok {
+		if _, ok := d2.Stat(key); ok {
 			t.Errorf("Open kept corrupt portfolio row %q", key)
 		}
 	}
 }
 
-// FuzzLoadPortfolio feeds arbitrary bytes to the manifest reader — the
-// portfolio rows included — and exercises the portfolio accessors on
-// whatever Open accepts. The invariant mirrors FuzzLoad's: Open either
-// errors or yields a store whose every portfolio row is servable (all
-// member keys resolve to live entries); it never panics.
+// FuzzLoadPortfolio feeds arbitrary bytes to the manifest reader —
+// portfolio rows and the legacy portfolios section included — and
+// exercises the accessors on whatever Open accepts. Open either errors or
+// yields a store whose every row is a file row whose file exists or a
+// portfolio row whose members are all file rows; Get and ReadFile on a
+// portfolio row return ErrNotFound. Nothing panics.
 func FuzzLoadPortfolio(f *testing.F) {
 	// Seed with a real manifest carrying entries and a portfolio row.
 	seedDir := f.TempDir()
@@ -184,13 +187,13 @@ func FuzzLoadPortfolio(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	_, s := testCircuit(f, 4)
+	c, s := testCircuit(f, 4)
 	for _, key := range []string{"m0", "m1"} {
 		if _, err := d.Put(meta(key), s); err != nil {
 			f.Fatal(err)
 		}
 	}
-	if _, err := d.RecordPortfolio(PortfolioMeta{Key: "p", Members: []string{"m0", "m1"}}); err != nil {
+	if _, err := d.RecordPortfolio(Meta{Key: "p", Members: []string{"m0", "m1"}}); err != nil {
 		f.Fatal(err)
 	}
 	good, err := os.ReadFile(filepath.Join(seedDir, manifestName))
@@ -198,6 +201,10 @@ func FuzzLoadPortfolio(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(good)
+	m0 := fileName("m0")
+	f.Add([]byte(`{"version":1,"entries":[{"key":"m0","file":"` + m0 + `"}],` +
+		`"portfolios":[{"key":"p","members":["m0"],"member_weights":[""]},{"key":"q","members":["p"]}]}`))
+	f.Add([]byte(`{"version":2,"entries":[{"key":"p","members":["m0"],"file":"."},{"key":"m0","file":".."}]}`))
 	f.Add([]byte(`{"version":1,"portfolios":[{"key":"p","members":["a"]}]}`))
 	f.Add([]byte(`{"version":1,"entries":null,"portfolios":null}`))
 	f.Add([]byte(`not json`))
@@ -227,19 +234,265 @@ func FuzzLoadPortfolio(f *testing.F) {
 		if err != nil {
 			return // rejected: fine, as long as nothing panicked
 		}
-		for _, p := range d.Portfolios() {
-			if p.Key == "" || p.K() == 0 {
-				t.Fatalf("Open accepted an unservable portfolio row %+v", p)
+		for _, m := range d.List() {
+			if got, ok := d.Stat(m.Key); !ok || m.Key == "" || got.Key != m.Key {
+				t.Fatalf("listed row %q not statable", m.Key)
 			}
-			got, ok := d.GetPortfolio(p.Key)
-			if !ok || got.Key != p.Key {
-				t.Fatalf("listed portfolio %q not gettable", p.Key)
-			}
-			for _, member := range p.Members {
-				if _, ok := d.Stat(member); !ok {
-					t.Fatalf("portfolio %q member %q has no entry", p.Key, member)
+			if len(m.Members) == 0 {
+				fi, err := os.Stat(filepath.Join(dir, m.File))
+				if m.File == "" || err != nil || !fi.Mode().IsRegular() {
+					t.Fatalf("Open kept file row %+v without its file", m)
 				}
+				continue
+			}
+			if m.File != "" {
+				t.Fatalf("Open kept row %+v with both a file and members", m)
+			}
+			for _, member := range m.Members {
+				if e, _ := d.Stat(member); e.File == "" {
+					t.Fatalf("portfolio %q member %q is not a file row", m.Key, member)
+				}
+			}
+			if _, _, err := d.Get(m.Key, c); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("Get on portfolio row %q: %v, want ErrNotFound", m.Key, err)
+			}
+			if _, _, err := d.ReadFile(m.Key); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("ReadFile on portfolio row %q: %v, want ErrNotFound", m.Key, err)
 			}
 		}
 	})
+}
+
+// portfolioRows returns d's portfolio rows (rows listing members), newest
+// first.
+func portfolioRows(d *Dir) []Meta {
+	var rows []Meta
+	for _, m := range d.List() {
+		if len(m.Members) > 0 {
+			rows = append(rows, m)
+		}
+	}
+	return rows
+}
+
+// TestOpenLegacyManifest opens a manifest in the version 1 format —
+// portfolio rows in their own section, with member weight keys — and
+// checks it loads to the same rows: the file rows, and the portfolio row
+// with every recorded field. A key present in both sections keeps its
+// file row, and a portfolio row listing another portfolio row is dropped.
+func TestOpenLegacyManifest(t *testing.T) {
+	dir := t.TempDir()
+	d, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	putMembers(t, d, 2)
+	m0, m1 := fileName("m0"), fileName("m1")
+	legacy := `{
+  "version": 1,
+  "entries": [
+    {"key": "m0", "circuit": "storetest", "seed": 1, "options": "{\"circuit\":\"storetest\"}",
+     "placements": 6, "coverage": 0.125, "bytes": 100, "created": "2025-01-02T03:04:05Z", "file": "` + m0 + `"},
+    {"key": "m1", "circuit": "storetest", "seed": 1, "placements": 6, "bytes": 100,
+     "created": "2025-01-02T03:04:06Z", "file": "` + m1 + `"}
+  ],
+  "portfolios": [
+    {"key": "p", "circuit": "storetest", "seed": 7, "options": "{\"portfolio\":2}",
+     "members": ["m0", "m1"], "member_weights": ["0,1,0", "1,0,0"],
+     "placements": 12, "coverage": 0.25, "created": "2025-01-02T03:04:07Z"},
+    {"key": "m1", "circuit": "storetest", "members": ["m0"], "created": "2025-01-02T03:04:08Z"},
+    {"key": "nested", "circuit": "storetest", "members": ["p"], "created": "2025-01-02T03:04:09Z"}
+  ]
+}`
+	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Meta{
+		{Key: "p", Circuit: "storetest", Seed: 7, Options: `{"portfolio":2}`, Members: []string{"m0", "m1"},
+			Placements: 12, Coverage: 0.25, Created: time.Date(2025, 1, 2, 3, 4, 7, 0, time.UTC)},
+		{Key: "m1", Circuit: "storetest", Seed: 1, Placements: 6, Bytes: 100,
+			Created: time.Date(2025, 1, 2, 3, 4, 6, 0, time.UTC), File: m1},
+		{Key: "m0", Circuit: "storetest", Seed: 1, Options: `{"circuit":"storetest"}`, Placements: 6,
+			Coverage: 0.125, Bytes: 100, Created: time.Date(2025, 1, 2, 3, 4, 5, 0, time.UTC), File: m0},
+	}
+	assertRows(t, d2, want)
+
+	// The next write rewrites the manifest in the current format; a
+	// reopen still yields the same rows.
+	if err := d2.Delete("nested"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Delete of the dropped nested row: %v, want ErrNotFound", err)
+	}
+	if _, err := d2.RecordPortfolio(want[0]); err != nil {
+		t.Fatal(err)
+	}
+	d3, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertRows(t, d3, want)
+}
+
+// assertRows checks d lists exactly want, field for field.
+func assertRows(t *testing.T, d *Dir, want []Meta) {
+	t.Helper()
+	got, err := json.Marshal(d.List())
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(exp) {
+		t.Fatalf("rows:\n got %s\nwant %s", got, exp)
+	}
+}
+
+// TestPortfolioRowHasNoFile: Get and ReadFile on a portfolio row report
+// ErrNotFound — the row has no file, and the store directory itself
+// (what an empty filename joins to) must never be opened in its place.
+// Open likewise drops rows naming the directory as their file.
+func TestPortfolioRowHasNoFile(t *testing.T) {
+	dir := t.TempDir()
+	d, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := putMembers(t, d, 2)
+	if _, err := d.RecordPortfolio(Meta{Key: "p", Members: members}); err != nil {
+		t.Fatal(err)
+	}
+	c, _ := testCircuit(t, 6)
+	if _, _, err := d.Get("p", c); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Get on a portfolio row: %v, want ErrNotFound", err)
+	}
+	if _, _, err := d.ReadFile("p"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("ReadFile on a portfolio row: %v, want ErrNotFound", err)
+	}
+	// A portfolio row cannot overwrite a structure or name a file.
+	if _, err := d.RecordPortfolio(Meta{Key: "m0", Members: []string{"m1"}}); err == nil {
+		t.Error("RecordPortfolio over a file row succeeded, want error")
+	}
+	if _, err := d.RecordPortfolio(Meta{Key: "q", Members: members, File: "x.mps"}); err == nil {
+		t.Error("RecordPortfolio with a file succeeded, want error")
+	}
+	if _, err := d.RecordPortfolio(Meta{Key: "q", Members: []string{"p"}}); err == nil {
+		t.Error("RecordPortfolio listing a portfolio row succeeded, want error")
+	}
+
+	dirRows := `{"version":2,"entries":[{"key":"a","file":"."},{"key":"b","file":".."}]}`
+	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(dirRows), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := d2.List(); len(rows) != 0 {
+		t.Fatalf("Open kept rows naming directories: %+v", rows)
+	}
+}
+
+// TestNonFiniteCoverageRejected: a NaN or Inf coverage cannot be encoded
+// in the JSON manifest, so Put and RecordPortfolio refuse it before it
+// reaches the row map — where it would fail every later manifest rewrite.
+// A later write persists and survives a reopen.
+func TestNonFiniteCoverageRejected(t *testing.T) {
+	dir := t.TempDir()
+	d, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := putMembers(t, d, 2)
+	_, s := testCircuit(t, 6)
+	for _, cov := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := meta("bad")
+		bad.Coverage = cov
+		if _, err := d.Put(bad, s); err == nil {
+			t.Errorf("Put with coverage %v succeeded, want error", cov)
+		}
+		if _, err := d.RecordPortfolio(Meta{Key: "bad-p", Members: members, Coverage: cov}); err == nil {
+			t.Errorf("RecordPortfolio with coverage %v succeeded, want error", cov)
+		}
+	}
+	if _, ok := d.Stat("bad"); ok {
+		t.Fatal("rejected Put left its row behind")
+	}
+	if _, err := d.Put(meta("later"), s); err != nil {
+		t.Fatalf("Put after the rejected rows: %v", err)
+	}
+	if _, err := d.RecordPortfolio(Meta{Key: "later-p", Members: members, Coverage: 0.5}); err != nil {
+		t.Fatalf("RecordPortfolio after the rejected rows: %v", err)
+	}
+	d2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"later", "later-p"} {
+		if _, ok := d2.Stat(key); !ok {
+			t.Errorf("%s missing after reopen", key)
+		}
+	}
+}
+
+// TestConcurrentPutRecordDelete races Put, RecordPortfolio and Delete over
+// shared keys in short rounds. After each round every file row's file
+// exists, every portfolio row's members are live file rows, and a reopen
+// yields the same rows.
+func TestConcurrentPutRecordDelete(t *testing.T) {
+	dir := t.TempDir()
+	d, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, s := testCircuit(t, 4)
+	keys := []string{"m0", "m1", "m2"}
+	for round := 0; round < 20; round++ {
+		var wg sync.WaitGroup
+		for g := 0; g < 6; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 3; i++ {
+					// Goroutines g and g+3 share a key and run different
+					// operations on it at every step.
+					key := keys[(g+round)%len(keys)]
+					switch (g/len(keys) + i + round) % 3 {
+					case 0:
+						if _, err := d.Put(meta(key), s); err != nil {
+							t.Error(err)
+						}
+					case 1:
+						// Fails when a member is absent; the race is the point.
+						d.RecordPortfolio(Meta{Key: "p" + key, Members: []string{key, keys[(g+i+1)%len(keys)]}})
+					default:
+						d.Delete(key)
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+
+		for _, m := range d.List() {
+			if len(m.Members) == 0 {
+				if _, err := os.Stat(filepath.Join(dir, m.File)); err != nil {
+					t.Fatalf("round %d: file row %q lost its file: %v", round, m.Key, err)
+				}
+			}
+			for _, member := range m.Members {
+				if e, ok := d.Stat(member); !ok || e.File == "" {
+					t.Fatalf("round %d: portfolio %q lists %q, not a live file row", round, m.Key, member)
+				}
+			}
+		}
+		d2, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertRows(t, d2, d.List())
+	}
 }

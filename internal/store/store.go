@@ -7,20 +7,21 @@
 // plus a rewritable JSON manifest recording circuit, seed, options,
 // placement count, byte size, and creation time.
 //
-// Structure portfolios persist as grouping rows in the same manifest
-// (PortfolioMeta): K member keys in routing order plus the portfolio's
-// canonical spec. Members are ordinary entries — shared with identical
+// The manifest has one row type, Meta. A row either names a structure
+// file (File) or is a portfolio row listing its K member keys in routing
+// order (Members). Members are ordinary file rows — shared with identical
 // single-structure specs, never copied — so recording a portfolio costs
-// one manifest rewrite, and Open drops any grouping row whose members are
-// no longer all servable.
+// one manifest rewrite, and a portfolio row never outlives a member: Delete
+// drops it with the member, and Open drops any whose members are not all
+// file rows.
 //
 // internal/serve uses a Dir as a write-through layer under its LRU cache:
 // finished generations are persisted in the background, cache misses
 // consult the store before paying for an annealing run, and mpsd
-// warm-starts from the newest entries (and portfolio groupings) at boot.
+// warm-starts from the newest rows at boot.
 //
 // A Dir is safe for concurrent use. Corrupt files are detected on Get (the
-// v2 checksum plus core.Load's semantic validation) and reported, never
+// file checksum plus core.Load's semantic validation) and reported, never
 // silently repaired.
 package store
 
@@ -32,8 +33,10 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -50,7 +53,7 @@ var ErrNotFound = errors.New("store: structure not found")
 const manifestName = "manifest.json"
 
 // Meta is one manifest row: everything a server needs to list or reload a
-// persisted structure without opening its file.
+// persisted structure or portfolio without opening a file.
 type Meta struct {
 	// Key is the canonical (circuit, seed, options) cache key.
 	Key string `json:"key"`
@@ -61,84 +64,58 @@ type Meta struct {
 	Circuit string `json:"circuit"`
 	Seed    int64  `json:"seed"`
 	Options string `json:"options,omitempty"`
-	// Placements and Coverage snapshot the structure at persist time.
+	// Placements and Coverage snapshot the artifact at persist time; a
+	// portfolio row records summed placements and merged coverage.
 	Placements int     `json:"placements"`
 	Coverage   float64 `json:"coverage,omitempty"`
 	// Bytes is the structure file's size; Created its persist time (UTC).
 	Bytes   int64     `json:"bytes"`
 	Created time.Time `json:"created"`
-	// File is the structure's filename inside the store directory.
-	File string `json:"file"`
+	// File is the structure's filename inside the store directory, empty
+	// on a portfolio row.
+	File string `json:"file,omitempty"`
+	// Members lists a portfolio row's member keys in routing order (member
+	// 0 first — the order is part of the portfolio's semantics); each is a
+	// file row. Empty on a file row.
+	Members []string `json:"members,omitempty"`
 }
 
-// PortfolioMeta is one portfolio manifest row: a grouping of K member
-// structures (each a regular manifest entry, persisted with the v3 codec)
-// under the portfolio's own canonical key. Members are referenced by their
-// entry keys — member files are shared with, and deduplicated against,
-// identical single-structure entries rather than copied.
-type PortfolioMeta struct {
-	// Key is the canonical portfolio spec key.
-	Key string `json:"key"`
-	// Circuit and Seed identify the generation inputs; Options carries the
-	// caller's full canonical portfolio spec (serve stores the normalized
-	// GenerateSpec as JSON) so a restarted server can rebuild the
-	// portfolio — member specs are derived from it, not stored.
-	Circuit string `json:"circuit"`
-	Seed    int64  `json:"seed"`
-	Options string `json:"options,omitempty"`
-	// Members lists the member structures' entry keys in routing order
-	// (member 0 first — the order is part of the portfolio's semantics).
-	Members []string `json:"members"`
-	// MemberWeights records each member's generation weight vector as its
-	// canonical key string (cost.Weights.Key), "" for members generated
-	// under the default objective. Empty for weightless portfolios, else
-	// length len(Members) — persisted so a warm start restores the same
-	// weight metadata (and thus the same routing-relevant record) the
-	// generating server published.
-	MemberWeights []string `json:"member_weights,omitempty"`
-	// Placements and Coverage snapshot the portfolio at record time:
-	// summed stored placements and the merged (union) covered fraction.
-	Placements int     `json:"placements"`
-	Coverage   float64 `json:"coverage,omitempty"`
-	// Created is when the grouping row was recorded (UTC).
-	Created time.Time `json:"created"`
-}
-
-// K returns the member count.
-func (p PortfolioMeta) K() int { return len(p.Members) }
-
+// manifest is the on-disk index. Version 2 keeps portfolio rows in
+// Entries; version 1 kept them in a separate Portfolios section, which
+// Open still reads (its extra member_weights field is ignored) and no
+// write produces.
 type manifest struct {
-	Version    int             `json:"version"`
-	Entries    []Meta          `json:"entries"`
-	Portfolios []PortfolioMeta `json:"portfolios,omitempty"`
+	Version    int    `json:"version"`
+	Entries    []Meta `json:"entries"`
+	Portfolios []Meta `json:"portfolios,omitempty"`
 }
 
 // Dir is a disk-backed structure repository rooted at one directory.
 type Dir struct {
 	root string
 
-	// mu guards entries and portfolios and is held only for map access,
-	// never across disk I/O, so reads (Stat/List — the serve
-	// read-through's first stop) never stall behind an fsyncing writer.
-	mu         sync.Mutex
-	entries    map[string]Meta
-	portfolios map[string]PortfolioMeta
+	// mu guards entries and is held only for map access, never across
+	// disk I/O, so reads (Stat/List — the serve read-through's first stop)
+	// never stall behind an fsyncing writer.
+	mu      sync.Mutex
+	entries map[string]Meta
 
-	// writeMu serializes manifest rewrites; the entries snapshot is taken
-	// after acquiring it, so the last manifest written always reflects
-	// every earlier mutation (no lost updates between concurrent Puts).
+	// writeMu serializes mutations — Put, RecordPortfolio, Delete — file
+	// I/O and manifest rewrite included, so a row and its file always
+	// agree and the last manifest written reflects every earlier mutation.
 	writeMu sync.Mutex
 }
 
 // Open opens (creating if needed) a store directory and loads its
-// manifest. Manifest rows whose structure file has gone missing are
-// dropped, and temp files left by crashed writers are swept, so Open
-// always yields a servable view of what is actually on disk.
+// manifest. File rows whose structure file has gone missing are dropped,
+// then portfolio rows whose members are not all file rows, and temp files
+// left by crashed writers are swept, so Open always yields a servable view
+// of what is actually on disk.
 func Open(root string) (*Dir, error) {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	d := &Dir{root: root, entries: map[string]Meta{}, portfolios: map[string]PortfolioMeta{}}
+	d := &Dir{root: root, entries: map[string]Meta{}}
 	if stale, err := filepath.Glob(filepath.Join(root, tmpPrefix+"*")); err == nil {
 		for _, f := range stale {
 			os.Remove(f)
@@ -155,56 +132,70 @@ func Open(root string) (*Dir, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("store: corrupt manifest in %s: %w", root, err)
 	}
-	for _, e := range m.Entries {
-		if e.Key == "" || e.File == "" || strings.ContainsAny(e.File, "/\\") {
-			continue // malformed or path-escaping row
+	// File rows load first, so portfolio rows can check their members and
+	// a key present in both sections keeps its file row.
+	rows := append(m.Entries, m.Portfolios...)
+	for _, e := range rows {
+		if d.fileRowLive(e) {
+			d.entries[e.Key] = e
 		}
-		if _, err := os.Stat(filepath.Join(root, e.File)); err != nil {
-			continue // structure file gone; drop the row
-		}
-		d.entries[e.Key] = e
 	}
-	for _, p := range m.Portfolios {
-		if !d.portfolioServable(p) {
-			continue // malformed row, or a member entry is gone
+	for _, e := range rows {
+		if _, dup := d.entries[e.Key]; !dup && d.memberRowErr(e) == nil {
+			d.entries[e.Key] = e
 		}
-		d.portfolios[p.Key] = p
 	}
 	return d, nil
 }
 
-// portfolioServable reports whether a portfolio row is well-formed and all
-// its members have live entries — the condition for Open to keep it and
-// for RecordPortfolio to accept it.
-func (d *Dir) portfolioServable(p PortfolioMeta) bool {
-	if p.Key == "" || len(p.Members) == 0 {
+// fileRowLive reports whether e is a well-formed file row whose structure
+// file is a regular file inside the store directory.
+func (d *Dir) fileRowLive(e Meta) bool {
+	if e.Key == "" || e.File == "" || len(e.Members) != 0 || strings.ContainsAny(e.File, "/\\") {
 		return false
 	}
-	for _, key := range p.Members {
-		if key == "" {
-			return false
-		}
-		if _, ok := d.entries[key]; !ok {
-			return false
+	fi, err := os.Stat(filepath.Join(d.root, e.File))
+	return err == nil && fi.Mode().IsRegular()
+}
+
+// memberRowErr reports why e is not a servable portfolio row: every
+// member must be a file row already in entries. Callers hold mu (or own
+// the Dir, as Open does).
+func (d *Dir) memberRowErr(e Meta) error {
+	if e.Key == "" || len(e.Members) == 0 || e.File != "" {
+		return fmt.Errorf("store: portfolio row %q needs a key and members and no file", e.Key)
+	}
+	for _, key := range e.Members {
+		if d.entries[key].File == "" {
+			return fmt.Errorf("store: portfolio %q member %q is not a persisted structure (persist members first)", e.Key, key)
 		}
 	}
-	return true
+	return nil
+}
+
+// checkRow rejects rows the manifest cannot hold: an empty key, or a
+// non-finite coverage, which JSON cannot encode — one such row would fail
+// every later manifest rewrite.
+func checkRow(meta Meta) error {
+	if meta.Key == "" {
+		return fmt.Errorf("store: empty key")
+	}
+	if math.IsNaN(meta.Coverage) || math.IsInf(meta.Coverage, 0) {
+		return fmt.Errorf("store: non-finite coverage %v for key %q", meta.Coverage, meta.Key)
+	}
+	return nil
 }
 
 // Root returns the directory the store lives in.
 func (d *Dir) Root() string { return d.root }
 
-// Len returns the number of persisted structures.
-func (d *Dir) Len() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.entries)
-}
+// Len returns the number of persisted structures (file rows).
+func (d *Dir) Len() int { return d.Stats().Entries }
 
 // Stats is a scrape-time snapshot of the store's footprint, shaped for
 // gauge export.
 type Stats struct {
-	// Entries and Portfolios are manifest row counts.
+	// Entries counts file rows and Portfolios portfolio rows.
 	Entries    int
 	Portfolios int
 	// Bytes is the summed size of all persisted structure files, from the
@@ -213,29 +204,34 @@ type Stats struct {
 }
 
 // Stats returns the current footprint. It reads only the in-memory
-// manifest maps, so it is cheap enough for every metrics scrape.
+// manifest map, so it is cheap enough for every metrics scrape.
 func (d *Dir) Stats() Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	st := Stats{Entries: len(d.entries), Portfolios: len(d.portfolios)}
+	var st Stats
 	for _, e := range d.entries {
+		if len(e.Members) != 0 {
+			st.Portfolios++
+			continue
+		}
+		st.Entries++
 		st.Bytes += e.Bytes
 	}
 	return st
 }
 
-// Put persists the structure under meta.Key, overwriting any previous
-// entry for that key. The structure file is written atomically before the
-// manifest row lands, so a crash between the two leaves at worst an
-// unreferenced file that the next Put for the key reuses. Meta's File,
-// Bytes, and (when zero) Created and Placements fields are filled in; the
-// completed row is returned.
+// Put persists the structure under meta.Key as a file row, overwriting any
+// previous row for that key. The structure file is written atomically
+// before the manifest row lands, so a crash between the two leaves at
+// worst an unreferenced file that the next Put for the key reuses. Meta's
+// File, Bytes, and (when zero) Created and Placements fields are filled
+// in; the completed row is returned.
 func (d *Dir) Put(meta Meta, s *core.Structure) (Meta, error) {
-	if meta.Key == "" {
-		return Meta{}, fmt.Errorf("store: empty key")
+	if err := checkRow(meta); err != nil {
+		return Meta{}, err
 	}
-	if s == nil {
-		return Meta{}, fmt.Errorf("store: nil structure for key %q", meta.Key)
+	if s == nil || len(meta.Members) != 0 {
+		return Meta{}, fmt.Errorf("store: Put for key %q needs a structure and no members", meta.Key)
 	}
 	meta.File = fileName(meta.Key)
 	if meta.Created.IsZero() {
@@ -245,12 +241,12 @@ func (d *Dir) Put(meta Meta, s *core.Structure) (Meta, error) {
 		meta.Placements = s.NumPlacements()
 	}
 
-	// The structure write happens outside the entries lock: concurrent
-	// Puts to one key land on the same filename, where the atomic rename
-	// makes the race benign (one complete file wins). Structures persist
-	// in the v3 format — placements plus the compiled query index's row
-	// tables — so whoever loads the file next (a warm-starting daemon)
-	// gets the flat index without a compile on its request path.
+	// Structures persist in the v3 format — placements plus the compiled
+	// query index's row tables — so whoever loads the file next (a
+	// warm-starting daemon) gets the flat index without a compile on its
+	// request path.
+	d.writeMu.Lock()
+	defer d.writeMu.Unlock()
 	n, err := WriteFileAtomic(filepath.Join(d.root, meta.File), s.SaveBinaryCompiled)
 	if err != nil {
 		return Meta{}, fmt.Errorf("store: %w", err)
@@ -270,9 +266,9 @@ func (d *Dir) Put(meta Meta, s *core.Structure) (Meta, error) {
 // through core.Load, so checksum or semantic corruption surfaces as an
 // error here rather than as wrong placements later.
 func (d *Dir) Get(key string, c *netlist.Circuit) (*core.Structure, Meta, error) {
-	meta, ok := d.Stat(key)
-	if !ok {
-		return nil, Meta{}, fmt.Errorf("%w: %s", ErrNotFound, key)
+	meta, err := d.fileRow(key)
+	if err != nil {
+		return nil, Meta{}, err
 	}
 	f, err := os.Open(filepath.Join(d.root, meta.File))
 	if err != nil {
@@ -286,8 +282,8 @@ func (d *Dir) Get(key string, c *netlist.Circuit) (*core.Structure, Meta, error)
 	return s, meta, nil
 }
 
-// Stat returns the manifest row for key without touching the structure
-// file.
+// Stat returns the manifest row for key — a file row or a portfolio row —
+// without touching any file.
 func (d *Dir) Stat(key string) (Meta, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -295,8 +291,18 @@ func (d *Dir) Stat(key string) (Meta, bool) {
 	return meta, ok
 }
 
-// List returns all manifest rows, newest first (ties broken by key so the
-// order is deterministic).
+// fileRow returns key's row if it names a structure file; a portfolio row
+// has no file, so it is ErrNotFound here like an absent key.
+func (d *Dir) fileRow(key string) (Meta, error) {
+	meta, ok := d.Stat(key)
+	if !ok || meta.File == "" {
+		return Meta{}, fmt.Errorf("%w: %s", ErrNotFound, key)
+	}
+	return meta, nil
+}
+
+// List returns all manifest rows, file and portfolio rows alike, newest
+// first (ties broken by key so the order is deterministic).
 func (d *Dir) List() []Meta {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -319,9 +325,9 @@ func (d *Dir) List() []Meta {
 // receiver revalidates through core.Load, so no trust rides on the
 // bytes).
 func (d *Dir) ReadFile(key string) ([]byte, Meta, error) {
-	meta, ok := d.Stat(key)
-	if !ok {
-		return nil, Meta{}, fmt.Errorf("%w: %s", ErrNotFound, key)
+	meta, err := d.fileRow(key)
+	if err != nil {
+		return nil, Meta{}, err
 	}
 	data, err := os.ReadFile(filepath.Join(d.root, meta.File))
 	if err != nil {
@@ -330,116 +336,76 @@ func (d *Dir) ReadFile(key string) ([]byte, Meta, error) {
 	return data, meta, nil
 }
 
-// Delete removes key's structure file and manifest row. Portfolio rows
-// referencing the deleted entry as a member become unservable and are
-// dropped in the same manifest rewrite. Deleting an absent key returns
-// ErrNotFound.
+// Delete removes key's row and, for a file row, its structure file.
+// Portfolio rows listing a deleted file row as a member become unservable
+// and are dropped in the same manifest rewrite; deleting a portfolio row
+// leaves its members, which are shared file rows. Deleting an absent key
+// returns ErrNotFound.
 func (d *Dir) Delete(key string) error {
+	d.writeMu.Lock()
+	defer d.writeMu.Unlock()
 	d.mu.Lock()
 	meta, ok := d.entries[key]
-	if ok {
-		delete(d.entries, key)
-		for pkey, p := range d.portfolios {
-			for _, member := range p.Members {
-				if member == key {
-					delete(d.portfolios, pkey)
-					break
-				}
-			}
+	delete(d.entries, key)
+	for k, e := range d.entries {
+		if slices.Contains(e.Members, key) {
+			delete(d.entries, k)
 		}
 	}
 	d.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	if err := os.Remove(filepath.Join(d.root, meta.File)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("store: %w", err)
+	if meta.File != "" {
+		if err := os.Remove(filepath.Join(d.root, meta.File)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return fmt.Errorf("store: %w", err)
+		}
 	}
 	return d.saveManifest()
 }
 
-// RecordPortfolio records (or overwrites) a portfolio grouping row. The
-// member structures must already be persisted — every member key needs a
-// live entry, so a recorded portfolio is always servable. Created is
-// filled in when zero; the completed row is returned.
-func (d *Dir) RecordPortfolio(meta PortfolioMeta) (PortfolioMeta, error) {
+// RecordPortfolio records (or overwrites) a portfolio row: meta with
+// Members set and no File. Every member must already be a file row, so a
+// recorded portfolio is always servable, and the key must not hold a
+// structure. Created is filled in when zero; the completed row is
+// returned.
+func (d *Dir) RecordPortfolio(meta Meta) (Meta, error) {
+	if err := checkRow(meta); err != nil {
+		return Meta{}, err
+	}
 	if meta.Created.IsZero() {
 		meta.Created = time.Now().UTC()
 	}
+	d.writeMu.Lock()
+	defer d.writeMu.Unlock()
 	d.mu.Lock()
-	if !d.portfolioServable(meta) {
-		d.mu.Unlock()
-		return PortfolioMeta{}, fmt.Errorf("store: portfolio %q references members without entries (persist members first)", meta.Key)
+	err := d.memberRowErr(meta)
+	if d.entries[meta.Key].File != "" {
+		err = fmt.Errorf("store: key %q holds a structure, not a portfolio", meta.Key)
 	}
-	d.portfolios[meta.Key] = meta
+	if err == nil {
+		d.entries[meta.Key] = meta
+	}
 	d.mu.Unlock()
+	if err != nil {
+		return Meta{}, err
+	}
 	if err := d.saveManifest(); err != nil {
-		return PortfolioMeta{}, err
+		return Meta{}, err
 	}
 	return meta, nil
 }
 
-// GetPortfolio returns the portfolio row for key. Loading the member
-// structures is the caller's business (via Get with each member key), so
-// the caller controls the circuit value and failure handling per member.
-func (d *Dir) GetPortfolio(key string) (PortfolioMeta, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	meta, ok := d.portfolios[key]
-	return meta, ok
-}
-
-// Portfolios returns all portfolio rows, newest first (ties broken by key
-// so the order is deterministic).
-func (d *Dir) Portfolios() []PortfolioMeta {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]PortfolioMeta, 0, len(d.portfolios))
-	for _, p := range d.portfolios {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].Created.Equal(out[j].Created) {
-			return out[i].Created.After(out[j].Created)
-		}
-		return out[i].Key < out[j].Key
-	})
-	return out
-}
-
-// DeletePortfolio removes a portfolio grouping row. Member structures are
-// left in place — they are shared with (and reachable as) single-structure
-// entries. Deleting an absent key returns ErrNotFound.
-func (d *Dir) DeletePortfolio(key string) error {
-	d.mu.Lock()
-	_, ok := d.portfolios[key]
-	if ok {
-		delete(d.portfolios, key)
-	}
-	d.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, key)
-	}
-	return d.saveManifest()
-}
-
-// saveManifest rewrites the manifest atomically. Writers are serialized
-// by writeMu and snapshot entries after acquiring it, so whichever write
-// lands last carries every mutation that preceded it.
+// saveManifest rewrites the manifest atomically. Callers hold writeMu, so
+// whichever write lands last carries every mutation that preceded it.
 func (d *Dir) saveManifest() error {
-	d.writeMu.Lock()
-	defer d.writeMu.Unlock()
 	d.mu.Lock()
-	m := manifest{Version: 1, Entries: make([]Meta, 0, len(d.entries))}
+	m := manifest{Version: 2, Entries: make([]Meta, 0, len(d.entries))}
 	for _, e := range d.entries {
 		m.Entries = append(m.Entries, e)
 	}
-	for _, p := range d.portfolios {
-		m.Portfolios = append(m.Portfolios, p)
-	}
 	d.mu.Unlock()
 	sort.Slice(m.Entries, func(i, j int) bool { return m.Entries[i].Key < m.Entries[j].Key })
-	sort.Slice(m.Portfolios, func(i, j int) bool { return m.Portfolios[i].Key < m.Portfolios[j].Key })
 	_, err := WriteFileAtomic(filepath.Join(d.root, manifestName), func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
