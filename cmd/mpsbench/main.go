@@ -41,6 +41,7 @@ import (
 
 	"mps/internal/cost"
 	"mps/internal/experiments"
+	"mps/internal/servebench"
 )
 
 func main() {
@@ -219,7 +220,11 @@ func main() {
 		fmt.Println()
 	}
 	if *micro {
-		results, err := experiments.RunMicro(os.Stdout, *seed)
+		serveOps, err := servebench.Ops(*seed)
+		if err != nil {
+			log.Fatal(err)
+		}
+		results, err := experiments.RunMicro(os.Stdout, *seed, serveOps...)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -56,10 +56,26 @@ var Table1 = []TableEntry{
 	{"benchmark24", 24, 48, 48},
 }
 
+// Check reports whether name is a Table1 benchmark without building its
+// circuit: nil for a valid name, else exactly the error ByName returns for
+// it. Callers that only validate a name (a served spec) use this instead of
+// ByName, which constructs the whole netlist.
+func Check(name string) error {
+	for i := range Table1 {
+		if Table1[i].Name == name {
+			return nil
+		}
+	}
+	return fmt.Errorf("circuits: unknown benchmark %q", name)
+}
+
 // ByName returns the named benchmark circuit. Valid names are those in
-// Table1. The construction is deterministic: the same name always yields an
-// identical circuit.
+// Table1 (see Check). The construction is deterministic: the same name
+// always yields an identical circuit.
 func ByName(name string) (*netlist.Circuit, error) {
+	if err := Check(name); err != nil {
+		return nil, err
+	}
 	switch name {
 	case "circ01":
 		return Synthetic(SyntheticSpec{Name: name, Blocks: 4, Nets: 4, Pins: 12, Seed: 101}), nil
@@ -80,7 +96,7 @@ func ByName(name string) (*netlist.Circuit, error) {
 	case "benchmark24":
 		return Benchmark24(), nil
 	}
-	return nil, fmt.Errorf("circuits: unknown benchmark %q", name)
+	panic(fmt.Sprintf("circuits: Table1 benchmark %q has no constructor", name))
 }
 
 // MustByName is ByName that panics on unknown names.

@@ -170,3 +170,29 @@ func TestSyntheticSeedChangesTopology(t *testing.T) {
 		t.Error("different seeds should produce different circuits")
 	}
 }
+
+// TestCheckAgreesWithByName pins that the construction-free name check
+// and ByName accept exactly the same names and reject the rest with
+// byte-identical errors, so a caller validating with Check reports what
+// ByName would have.
+func TestCheckAgreesWithByName(t *testing.T) {
+	names := Names()
+	names = append(names, "", "CIRC01", "circ01 ", "circ1", "tso_cascode", "benchmark25", "nope")
+	for _, name := range names {
+		checkErr := Check(name)
+		c, byNameErr := ByName(name)
+		if (checkErr == nil) != (byNameErr == nil) {
+			t.Errorf("%q: Check = %v, ByName = %v", name, checkErr, byNameErr)
+			continue
+		}
+		if checkErr == nil {
+			if c == nil || c.Name != name {
+				t.Errorf("%q: ByName built %v", name, c)
+			}
+			continue
+		}
+		if checkErr.Error() != byNameErr.Error() {
+			t.Errorf("%q: Check error %q, ByName error %q", name, checkErr, byNameErr)
+		}
+	}
+}

@@ -50,6 +50,15 @@ type BenchReport struct {
 	Pareto []ParetoRow `json:"pareto,omitempty"`
 }
 
+// MicroOp is one named micro-benchmark body. RunMicro appends the ops its
+// caller passes after its own, so ops built in packages experiments cannot
+// import (internal/servebench) share the table, the JSON rows, and the
+// -compare gate.
+type MicroOp struct {
+	Name string
+	Fn   func(b *testing.B)
+}
+
 // RunMicro benchmarks the serving stack's critical operations — quick
 // generation, instantiation through the tree and compiled query paths
 // (mixed and covered-only workloads), best-of-K portfolio routing (the
@@ -57,8 +66,9 @@ type BenchReport struct {
 // testing.Benchmark, renders a table to w, and returns the rows for
 // WriteBenchJSON. The quick-effort budgets keep a full run in the tens of
 // seconds, small enough for CI, and every op is deterministic in
-// allocs/op so the -compare gate can check allocations exactly.
-func RunMicro(w io.Writer, seed int64) ([]BenchResult, error) {
+// allocs/op so the -compare gate can check allocations exactly. extra
+// ops run after the built-in ones.
+func RunMicro(w io.Writer, seed int64, extra ...MicroOp) ([]BenchResult, error) {
 	// One structure powers the instantiate and codec benchmarks; quick
 	// effort keeps its generation out of the measured loops' noise floor.
 	s, _, err := GenerateForBenchmark("TwoStageOpamp", EffortQuick, seed)
@@ -133,10 +143,7 @@ func RunMicro(w io.Writer, seed int64) ([]BenchResult, error) {
 		return nil, err
 	}
 
-	benches := []struct {
-		name string
-		fn   func(b *testing.B)
-	}{
+	benches := []MicroOp{
 		// Fixed seed on every iteration: the annealing run is then
 		// identical work each time, so allocs/op is exactly reproducible —
 		// a varying seed would shift the average with the iteration count
@@ -321,16 +328,18 @@ func RunMicro(w io.Writer, seed int64) ([]BenchResult, error) {
 		}},
 	}
 
+	benches = append(benches, extra...)
+
 	fmt.Fprintln(w, "Micro-benchmarks (testing.Benchmark, default 1s per op)")
 	tb := stats.NewTable("op", "n", "ns/op", "B/op", "allocs/op")
 	out := make([]BenchResult, 0, len(benches))
 	for _, bench := range benches {
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
-			bench.fn(b)
+			bench.Fn(b)
 		})
 		row := BenchResult{
-			Name:        bench.name,
+			Name:        bench.Name,
 			N:           r.N,
 			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 			BytesPerOp:  r.AllocedBytesPerOp(),

@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"encoding/json"
 	"net/http"
 	"strings"
 	"testing"
 
 	"mps"
+	"mps/internal/circuits"
 )
 
 // TestSpecKeyBackendCompat pins the spec-key compatibility rule: specs
@@ -66,11 +68,19 @@ func TestSpecKeyBackendCompat(t *testing.T) {
 }
 
 // TestBadSpecsRejected is the one-place validation table: every bad
-// enumerated field or negative budget must come back as a 400 from POST
-// /v1/structures, never reach generation, and name the offending value.
+// enumerated field, negative or over-cap budget, and bad weighting must
+// come back as a 400 that names the offending value, never reach
+// generation — and read the same from every entry point that takes a
+// spec (POST /v1/structures, POST /v1/jobs, and a spec-addressed POST
+// /v1/instantiate), since all three resolve a spec the same way.
 func TestBadSpecsRejected(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 
+	circ := func(mod func(*GenerateSpec)) GenerateSpec {
+		g := GenerateSpec{Circuit: "circ01"}
+		mod(&g)
+		return g
+	}
 	cases := []struct {
 		name    string
 		spec    GenerateSpec
@@ -78,30 +88,88 @@ func TestBadSpecsRejected(t *testing.T) {
 	}{
 		{"missing circuit", GenerateSpec{}, "missing circuit"},
 		{"unknown circuit", GenerateSpec{Circuit: "nope"}, "nope"},
-		{"unknown effort", GenerateSpec{Circuit: "circ01", Effort: "heroic"}, "heroic"},
-		{"unknown backup", GenerateSpec{Circuit: "circ01", Backup: "pile"}, "pile"},
-		{"unknown backend", GenerateSpec{Circuit: "circ01", Backend: "cmaes"}, "cmaes"},
-		{"negative iterations", GenerateSpec{Circuit: "circ01", Iterations: -1}, "negative budget"},
-		{"negative bdio", GenerateSpec{Circuit: "circ01", BDIOSteps: -5}, "negative budget"},
-		{"negative chains", GenerateSpec{Circuit: "circ01", Chains: -2}, "negative budget"},
-		{"negative portfolio", GenerateSpec{Circuit: "circ01", Portfolio: -3}, "negative portfolio"},
+		{"near-miss circuit", GenerateSpec{Circuit: "CIRC01"}, "CIRC01"},
+		{"unknown effort", circ(func(g *GenerateSpec) { g.Effort = "heroic" }), "heroic"},
+		{"unknown backup", circ(func(g *GenerateSpec) { g.Backup = "pile" }), "pile"},
+		{"unknown backend", circ(func(g *GenerateSpec) { g.Backend = "cmaes" }), "cmaes"},
+		{"negative iterations", circ(func(g *GenerateSpec) { g.Iterations = -1 }), "negative budget"},
+		{"negative bdio", circ(func(g *GenerateSpec) { g.BDIOSteps = -5 }), "negative budget"},
+		{"negative chains", circ(func(g *GenerateSpec) { g.Chains = -2 }), "negative budget"},
+		{"negative max placements", circ(func(g *GenerateSpec) { g.MaxPlacements = -1 }), "negative budget"},
+		{"negative portfolio", circ(func(g *GenerateSpec) { g.Portfolio = -3 }), "negative portfolio"},
+		{"negative weight", circ(func(g *GenerateSpec) { g.Weights = &WeightsSpec{Wire: -1} }), "weights"},
+		{"negative member weight", circ(func(g *GenerateSpec) {
+			g.Portfolio = 2
+			g.MemberWeights = []WeightsSpec{{}, {Area: -2}}
+		}), "member_weights[1]"},
+		{"member weights without portfolio", circ(func(g *GenerateSpec) {
+			g.MemberWeights = []WeightsSpec{{Wire: 1}}
+		}), "single-structure"},
+		{"member weights count", circ(func(g *GenerateSpec) {
+			g.Portfolio = 3
+			g.MemberWeights = []WeightsSpec{{Wire: 1}}
+		}), "1 member_weights for a 3-member portfolio"},
+		{"over-cap iterations", circ(func(g *GenerateSpec) { g.Iterations = 1 << 30 }), "exceeds daemon cap"},
+		{"over-cap bdio", circ(func(g *GenerateSpec) { g.BDIOSteps = 1 << 30 }), "exceeds daemon cap"},
+		{"over-cap chains", circ(func(g *GenerateSpec) { g.Chains = maxChains + 1 }), "exceeds daemon cap"},
+		{"over-cap portfolio", circ(func(g *GenerateSpec) { g.Portfolio = maxPortfolio + 1 }), "exceeds daemon cap"},
 	}
+	query := testQuery(t, 0)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			status, body := postJSON(t, ts.URL+"/v1/structures", tc.spec, nil)
-			if status != http.StatusBadRequest {
-				t.Fatalf("status = %d, want 400 (body: %s)", status, body)
+			bodies := []struct {
+				path string
+				body any
+			}{
+				{"/v1/structures", tc.spec},
+				{"/v1/jobs", map[string]any{"spec": tc.spec}},
+				{"/v1/instantiate", map[string]any{"spec": tc.spec, "queries": []any{query}}},
 			}
-			if !strings.Contains(body, tc.mention) {
-				t.Errorf("400 body %q does not mention %q", body, tc.mention)
+			var first string
+			for i, b := range bodies {
+				status, body := postJSON(t, ts.URL+b.path, b.body, nil)
+				if status != http.StatusBadRequest {
+					t.Fatalf("%s: status = %d, want 400 (body: %s)", b.path, status, body)
+				}
+				var e struct {
+					Error string `json:"error"`
+				}
+				if err := json.Unmarshal([]byte(body), &e); err != nil || e.Error == "" {
+					t.Fatalf("%s: 400 body %q is not an error object", b.path, body)
+				}
+				if !strings.Contains(e.Error, tc.mention) {
+					t.Errorf("%s: error %q does not mention %q", b.path, e.Error, tc.mention)
+				}
+				if i == 0 {
+					first = e.Error
+				} else if e.Error != first {
+					t.Errorf("%s: error %q, %s said %q", b.path, e.Error, bodies[0].path, first)
+				}
 			}
 		})
+	}
+	if n := s.genRuns.Load(); n != 0 {
+		t.Errorf("bad specs started %d generation runs", n)
+	}
+	if jobs := s.Jobs().List(); len(jobs) != 0 {
+		t.Errorf("bad specs left %d jobs", len(jobs))
+	}
+
+	// An unknown circuit is rejected with the circuit package's own error
+	// text, the one generation would have produced.
+	_, wantErr := circuits.ByName("nope")
+	_, body := postJSON(t, ts.URL+"/v1/structures", GenerateSpec{Circuit: "nope"}, nil)
+	var got struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal([]byte(body), &got); err != nil || got.Error != wantErr.Error() {
+		t.Errorf("unknown-circuit 400 %q, want error %q", body, wantErr)
 	}
 
 	// The unknown-backend 400 must list the registered names so clients
 	// can self-correct without a second round trip.
 	spec := GenerateSpec{Circuit: "circ01", Backend: "cmaes"}
-	_, body := postJSON(t, ts.URL+"/v1/structures", spec, nil)
+	_, body = postJSON(t, ts.URL+"/v1/structures", spec, nil)
 	for _, name := range mps.Backends() {
 		if !strings.Contains(body, name) {
 			t.Errorf("unknown-backend 400 %q does not list registered backend %q", body, name)

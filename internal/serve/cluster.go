@@ -158,7 +158,7 @@ func (s *Server) remoteWork(tr *obs.Trace, e *entry, specJSON []byte) {
 	// have ended would misrepresent the timeline.
 	fetchSpan := tr.StartSpan(obs.StageFetch)
 	fetchSpan.SetKey(e.key)
-	p, stats, ok := s.fetchFromPeers(fetchSpan, e.spec)
+	p, stats, ok := s.fetchFromPeers(fetchSpan, e.resolvedSpec)
 	s.metrics.endSpan(fetchSpan)
 	if ok {
 		s.publishDone(e, specJSON, p, stats)
@@ -167,7 +167,7 @@ func (s *Server) remoteWork(tr *obs.Trace, e *entry, specJSON []byte) {
 	genSpan := tr.StartSpan(obs.StageForward)
 	genSpan.SetKey(e.key)
 	genSpan.SetRemote(s.cluster.Owner(e.key))
-	p, stats, handled, err := s.generateOnOwner(genSpan, e.spec)
+	p, stats, handled, err := s.generateOnOwner(genSpan, e.resolvedSpec)
 	s.metrics.endSpan(genSpan)
 	if handled {
 		if err != nil {
@@ -189,16 +189,15 @@ func (s *Server) remoteWork(tr *obs.Trace, e *entry, specJSON []byte) {
 // from the key's replica set, owner first. Milliseconds against a healthy
 // peer; a dead one costs at most one FetchTimeout before its breaker
 // starts refusing instantly.
-func (s *Server) fetchFromPeers(sp obs.SpanRef, spec GenerateSpec) (*mps.Portfolio, mps.Stats, bool) {
+func (s *Server) fetchFromPeers(sp obs.SpanRef, rs resolvedSpec) (*mps.Portfolio, mps.Stats, bool) {
 	c := s.cluster
-	key := spec.key()
-	for _, peer := range c.Ring().Replicas(key, len(c.Peers())) {
+	for _, peer := range c.Ring().Replicas(rs.key, len(c.Peers())) {
 		if peer == c.Self() {
 			continue
 		}
-		p, stats, err := s.fetchFrom(sp, peer, spec)
+		p, stats, err := s.fetchFrom(sp, peer, rs)
 		if err != nil {
-			s.logf("cluster: fetching %s from %s: %v", key, peer, err)
+			s.logf("cluster: fetching %s from %s: %v", rs.key, peer, err)
 			continue
 		}
 		if p != nil {
@@ -217,7 +216,7 @@ var errPeerMiss = fmt.Errorf("peer does not have the structure")
 // (nil, _, nil) is returned for a clean miss (the peer answered 404). sp,
 // when backed by a trace, parents the per-attempt spans Do records for
 // this pull.
-func (s *Server) fetchFrom(sp obs.SpanRef, peer string, spec GenerateSpec) (*mps.Portfolio, mps.Stats, error) {
+func (s *Server) fetchFrom(sp obs.SpanRef, peer string, rs resolvedSpec) (*mps.Portfolio, mps.Stats, error) {
 	c := s.cluster
 	mark, err := cluster.EncodeForward(cluster.Forward{From: c.Self(), Hop: 1})
 	if err != nil {
@@ -226,7 +225,7 @@ func (s *Server) fetchFrom(sp obs.SpanRef, peer string, spec GenerateSpec) (*mps
 	hdr := http.Header{}
 	hdr.Set(cluster.ForwardHeader, mark)
 	resp, err := c.Do(obs.ContextWithSpan(context.Background(), sp), peer, http.MethodGet,
-		"/v1/cluster/structure?key="+url.QueryEscape(spec.key()), nil, hdr, c.FetchTimeout())
+		"/v1/cluster/structure?key="+url.QueryEscape(rs.key), nil, hdr, c.FetchTimeout())
 	if err != nil {
 		return nil, mps.Stats{}, err
 	}
@@ -239,7 +238,7 @@ func (s *Server) fetchFrom(sp obs.SpanRef, peer string, spec GenerateSpec) (*mps
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		return nil, mps.Stats{}, fmt.Errorf("peer answered %d", resp.StatusCode)
 	}
-	circuit, err := mps.Benchmark(spec.Circuit)
+	circuit, err := mps.Benchmark(rs.spec.Circuit)
 	if err != nil {
 		return nil, mps.Stats{}, err
 	}
@@ -263,7 +262,7 @@ func (s *Server) fetchFrom(sp obs.SpanRef, peer string, spec GenerateSpec) (*mps
 	if err != nil {
 		return nil, mps.Stats{}, err
 	}
-	return single(spec.withBackup(cs)), mps.Stats{FinalCoverage: coverage}, nil
+	return single(rs.spec.withBackup(cs)), mps.Stats{FinalCoverage: coverage}, nil
 }
 
 // generateOnOwner asks the key's owner to generate spec (a marked,
@@ -272,9 +271,9 @@ func (s *Server) fetchFrom(sp obs.SpanRef, peer string, spec GenerateSpec) (*mps
 // handled=false means the owner was unreachable and the caller should
 // degrade to local generation; handled=true with err carries an owner
 // verdict (e.g. a 4xx) that local generation could not improve on.
-func (s *Server) generateOnOwner(sp obs.SpanRef, spec GenerateSpec) (*mps.Portfolio, mps.Stats, bool, error) {
+func (s *Server) generateOnOwner(sp obs.SpanRef, rs resolvedSpec) (*mps.Portfolio, mps.Stats, bool, error) {
 	c := s.cluster
-	owner := c.Owner(spec.key())
+	owner := c.Owner(rs.key)
 	mark, err := cluster.EncodeForward(cluster.Forward{From: c.Self(), Hop: 1})
 	if err != nil {
 		return nil, mps.Stats{}, false, nil
@@ -283,7 +282,7 @@ func (s *Server) generateOnOwner(sp obs.SpanRef, spec GenerateSpec) (*mps.Portfo
 	hdr.Set("Content-Type", "application/json")
 	hdr.Set(cluster.ForwardHeader, mark)
 	resp, err := c.Do(obs.ContextWithSpan(context.Background(), sp), owner, http.MethodPost, "/v1/structures",
-		mustSpecJSON(spec), hdr, c.ForwardTimeout())
+		mustSpecJSON(rs.spec), hdr, c.ForwardTimeout())
 	if err != nil {
 		return nil, mps.Stats{}, false, nil
 	}
@@ -291,11 +290,11 @@ func (s *Server) generateOnOwner(sp obs.SpanRef, spec GenerateSpec) (*mps.Portfo
 	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 	switch {
 	case resp.StatusCode == http.StatusOK:
-		p, stats, err := s.fetchFrom(sp, owner, spec)
+		p, stats, err := s.fetchFrom(sp, owner, rs)
 		if err != nil || p == nil {
 			// Generated there but the artifact will not come over; local
 			// generation still serves the client.
-			s.logf("cluster: owner %s generated %s but fetch failed: %v", owner, spec.key(), err)
+			s.logf("cluster: owner %s generated %s but fetch failed: %v", owner, rs.key, err)
 			return nil, mps.Stats{}, false, nil
 		}
 		c.CountFetch()
@@ -325,19 +324,13 @@ func (s *Server) entryForKey(ctx context.Context, key string) (*entry, error) {
 	if e, ok := s.lookup(key); ok {
 		return e, nil
 	}
-	if spec, _, ok := s.specFromStore(key); ok {
-		e, _, err := s.structureFor(ctx, spec)
-		if err == nil && e.key != key {
-			return nil, fmt.Errorf("store row for %s rebuilds to key %s (key drift)", key, e.key)
-		}
+	if rs, _, ok := s.specFromStore(key); ok {
+		e, _, err := s.structureFor(ctx, rs)
 		return e, err
 	}
 	if s.cluster != nil && !forwardedFromCtx(ctx) {
-		if spec, ok := s.specFromPeer(ctx, key); ok {
-			e, _, err := s.structureFor(ctx, spec)
-			if err == nil && e.key != key {
-				return nil, fmt.Errorf("peer spec for %s rebuilds to key %s (key drift)", key, e.key)
-			}
+		if rs, ok := s.specFromPeer(ctx, key); ok {
+			e, _, err := s.structureFor(ctx, rs)
 			return e, err
 		}
 	}
@@ -353,32 +346,32 @@ func forwardedFromCtx(ctx context.Context) bool {
 	return v
 }
 
-// specFromStore rebuilds the GenerateSpec recorded for key in the local
-// store manifest, returning it with the row (file or portfolio row).
-func (s *Server) specFromStore(key string) (GenerateSpec, store.Meta, bool) {
+// specFromStore rebuilds the spec recorded for key in the local store
+// manifest, returning it with the row (file or portfolio row).
+func (s *Server) specFromStore(key string) (resolvedSpec, store.Meta, bool) {
 	if s.cfg.Store == nil {
-		return GenerateSpec{}, store.Meta{}, false
+		return resolvedSpec{}, store.Meta{}, false
 	}
 	m, ok := s.cfg.Store.Stat(key)
 	if !ok {
-		return GenerateSpec{}, store.Meta{}, false
+		return resolvedSpec{}, store.Meta{}, false
 	}
-	spec, ok := specFromOptions(key, m.Options, s.logf)
-	return spec, m, ok
+	rs, ok := specFromOptions(key, m.Options, s.logf)
+	return rs, m, ok
 }
 
 // specFromPeer asks the key's owner which spec the key denotes (metadata
 // only — the artifact follows through the entry pipeline, where every
 // replica gets a chance to serve it).
-func (s *Server) specFromPeer(ctx context.Context, key string) (GenerateSpec, bool) {
+func (s *Server) specFromPeer(ctx context.Context, key string) (resolvedSpec, bool) {
 	c := s.cluster
 	owner := c.Owner(key)
 	if owner == c.Self() {
-		return GenerateSpec{}, false
+		return resolvedSpec{}, false
 	}
 	mark, err := cluster.EncodeForward(cluster.Forward{From: c.Self(), Hop: 1})
 	if err != nil {
-		return GenerateSpec{}, false
+		return resolvedSpec{}, false
 	}
 	hdr := http.Header{}
 	hdr.Set(cluster.ForwardHeader, mark)
@@ -390,12 +383,12 @@ func (s *Server) specFromPeer(ctx context.Context, key string) (GenerateSpec, bo
 	resp, err := c.Do(obs.ContextWithSpan(context.Background(), sp), owner, http.MethodGet,
 		"/v1/cluster/structure?key="+url.QueryEscape(key)+"&meta=1", nil, hdr, c.FetchTimeout())
 	if err != nil {
-		return GenerateSpec{}, false
+		return resolvedSpec{}, false
 	}
 	defer resp.Body.Close()
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 	if resp.StatusCode != http.StatusOK {
-		return GenerateSpec{}, false
+		return resolvedSpec{}, false
 	}
 	return specFromOptions(key, resp.Header.Get(clusterSpecHeader), s.logf)
 }
@@ -403,21 +396,21 @@ func (s *Server) specFromPeer(ctx context.Context, key string) (GenerateSpec, bo
 // specFromOptions decodes and re-validates a recorded spec (a store
 // manifest row's options, or a peer's spec header), requiring it to
 // rebuild exactly the key it was recorded under.
-func specFromOptions(key, opts string, logf func(string, ...any)) (GenerateSpec, bool) {
+func specFromOptions(key, opts string, logf func(string, ...any)) (resolvedSpec, bool) {
 	var spec GenerateSpec
 	if err := json.Unmarshal([]byte(opts), &spec); err != nil {
 		logf("spec: options for %s: %v", key, err)
-		return GenerateSpec{}, false
+		return resolvedSpec{}, false
 	}
 	if err := spec.normalize(); err != nil {
 		logf("spec: spec for %s: %v", key, err)
-		return GenerateSpec{}, false
+		return resolvedSpec{}, false
 	}
-	if spec.key() != key {
-		logf("spec: options for %s rebuild to %s (key drift)", key, spec.key())
-		return GenerateSpec{}, false
+	if got := spec.key(); got != key {
+		logf("spec: options for %s rebuild to %s (key drift)", key, got)
+		return resolvedSpec{}, false
 	}
-	return spec, true
+	return resolvedSpec{spec: spec, key: key}, true
 }
 
 // parseCoverage reads a clusterCoverageHeader value: absent means 0, and
@@ -471,8 +464,8 @@ func (s *Server) handleClusterStructure(w http.ResponseWriter, r *http.Request) 
 		}
 		return
 	}
-	if spec, m, ok := s.specFromStore(key); ok {
-		w.Header().Set(clusterSpecHeader, string(mustSpecJSON(spec)))
+	if rs, m, ok := s.specFromStore(key); ok {
+		w.Header().Set(clusterSpecHeader, string(mustSpecJSON(rs.spec)))
 		w.Header().Set(clusterCoverageHeader, strconv.FormatFloat(m.Coverage, 'g', -1, 64))
 		w.Header().Set(clusterPlacementsHeader, strconv.Itoa(m.Placements))
 		if metaOnly || len(m.Members) > 0 { // portfolio rows ship meta only
@@ -510,6 +503,7 @@ func (s *Server) handleClusterAccept(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "portfolios do not transfer (members do)")
 		return
 	}
+	rs := keyed(spec)
 	circuit, err := mps.Benchmark(spec.Circuit)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
@@ -537,9 +531,9 @@ func (s *Server) handleClusterAccept(w http.ResponseWriter, r *http.Request) {
 		}
 	} else {
 		// Store-less node: hold the transferred structure in the LRU.
-		s.install(spec, single(spec.withBackup(cs)), mps.Stats{FinalCoverage: coverage}, "", false)
+		s.install(rs, single(spec.withBackup(cs)), mps.Stats{FinalCoverage: coverage}, "", false)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"key": spec.key(), "stored": true})
+	writeJSON(w, http.StatusOK, map[string]any{"key": rs.key, "stored": true})
 }
 
 // RebalanceReport summarizes one rebalance pass.

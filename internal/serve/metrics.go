@@ -21,6 +21,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mps/internal/cluster"
@@ -72,13 +73,12 @@ func routeLabel(path string) string {
 }
 
 // serverMetrics holds the Server's registry and the hot-path metric
-// children, resolved once at construction so request handling never does
-// a labeled lookup.
+// children, resolved once at construction (or, for a route's status
+// codes, once per code) so request handling never does a labeled lookup.
 type serverMetrics struct {
 	reg *obs.Registry
 
-	reqCount  *obs.CounterVec
-	routeHist map[string]*obs.Histogram
+	routes map[string]*routeMetrics
 
 	// Per-stage global accumulation, indexed by obs.Stage. Spans record
 	// here and into the request's Trace in one call (observe), so the
@@ -101,14 +101,14 @@ type serverMetrics struct {
 // scrape can't deadlock the serving path.
 func newServerMetrics(s *Server) *serverMetrics {
 	reg := obs.NewRegistry()
-	m := &serverMetrics{reg: reg, routeHist: make(map[string]*obs.Histogram, len(routeLabels))}
+	m := &serverMetrics{reg: reg, routes: make(map[string]*routeMetrics, len(routeLabels))}
 
-	m.reqCount = reg.CounterVec("mps_http_requests_total",
+	reqCount := reg.CounterVec("mps_http_requests_total",
 		"HTTP requests served, by route and status code.", "route", "code")
 	durVec := reg.HistogramVec("mps_http_request_duration_seconds",
 		"HTTP request latency by route.", "route")
 	for _, rt := range routeLabels {
-		m.routeHist[rt] = durVec.With(rt)
+		m.routes[rt] = &routeMetrics{name: rt, hist: durVec.With(rt), count: reqCount}
 	}
 
 	stageDur := reg.DurationCounterVec("mps_stage_duration_seconds_total",
@@ -279,6 +279,35 @@ func newServerMetrics(s *Server) *serverMetrics {
 	return m
 }
 
+// routeMetrics is one route's request metrics: its latency histogram and
+// its request counters by status code. A code's counter child is created
+// (and so appears in /metrics) the first time the route answers with that
+// code, exactly as a labeled lookup per request would create it; after
+// that it is one atomic load, so a repeated (route, status) pair takes no
+// lock and allocates nothing.
+type routeMetrics struct {
+	name  string
+	hist  *obs.Histogram
+	count *obs.CounterVec
+	codes [500]atomic.Pointer[obs.Counter] // indexed by status-100
+}
+
+// requests returns the route's counter for status.
+func (rm *routeMetrics) requests(status int) *obs.Counter {
+	i := status - 100
+	if i < 0 || i >= len(rm.codes) { // a nonstandard code a peer relayed
+		return rm.count.With(rm.name, strconv.Itoa(status))
+	}
+	c := rm.codes[i].Load()
+	if c == nil {
+		// With returns the one child for these labels, so racing first
+		// requests store the same counter.
+		c = rm.count.With(rm.name, strconv.Itoa(status))
+		rm.codes[i].Store(c)
+	}
+	return c
+}
+
 // memStatsCache amortizes runtime.ReadMemStats across the gauges that
 // read it: one stop-the-world sample per refresh window, not per gauge.
 type memStatsCache struct {
@@ -373,8 +402,9 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 				// write carried, the request failed.
 				status = http.StatusInternalServerError
 			}
-			m.routeHist[route].Observe(elapsed)
-			m.reqCount.With(route, strconv.Itoa(status)).Inc()
+			rm := m.routes[route]
+			rm.hist.Observe(elapsed)
+			rm.requests(status).Inc()
 			// Forwarded *client* requests only: the /v1/cluster/* endpoints
 			// always carry the forward mark (it is the peer-protocol loop
 			// guard), so counting them would make every fetch look like a

@@ -203,10 +203,10 @@ type Server struct {
 // entry is one cached (or in-flight) generation. The start once gates the
 // work — a disk-store rehydration or a job submission — so concurrent
 // requests for the same key share it; ready closes when the result (or
-// failure) publishes.
+// failure) publishes. Its key and spec are the resolved spec it was
+// created for.
 type entry struct {
-	key      string
-	spec     GenerateSpec
+	resolvedSpec
 	priority int
 	elem     *list.Element
 
@@ -425,12 +425,14 @@ func (g *GenerateSpec) validateNames() error {
 }
 
 // normalize validates the spec and fills implied defaults so equivalent
-// specs map to one cache key.
+// specs map to one cache key. The circuit name is checked against Table 1
+// without building its netlist: generation and the store read path build
+// the circuit when they need it.
 func (g *GenerateSpec) normalize() error {
 	if g.Circuit == "" {
 		return fmt.Errorf("missing circuit")
 	}
-	if _, err := circuits.ByName(g.Circuit); err != nil {
+	if err := circuits.Check(g.Circuit); err != nil {
 		return err
 	}
 	if err := g.validateNames(); err != nil {
@@ -626,9 +628,8 @@ const maxChains = 64
 const maxPortfolio = 8
 
 // checkBudget rejects generation requests whose annealing budget exceeds
-// the daemon's cap. Every path that can trigger a generation — POST
-// /v1/structures, POST /v1/instantiate with an inline spec, and the
-// programmatic Generate — must pass through it.
+// the daemon's cap. Every path that can trigger a generation passes
+// through it by way of resolve.
 func (s *Server) checkBudget(g GenerateSpec) error {
 	if g.Chains > maxChains {
 		return fmt.Errorf("chains %d exceeds daemon cap %d", g.Chains, maxChains)
@@ -647,6 +648,36 @@ func (s *Server) checkBudget(g GenerateSpec) error {
 		return fmt.Errorf("bdio_steps %d exceeds daemon cap %d", g.BDIOSteps, limit)
 	}
 	return nil
+}
+
+// resolvedSpec is a canonical spec together with its cache key, computed
+// once: every layer after resolution (forwarding, the cache, the job
+// queue, the store) reads the key from here instead of rebuilding it.
+type resolvedSpec struct {
+	spec GenerateSpec
+	key  string
+}
+
+// keyed pairs an already canonical spec — a portfolio member's, or one
+// recorded in a store row or by a peer — with its key.
+func keyed(spec GenerateSpec) resolvedSpec { return resolvedSpec{spec: spec, key: spec.key()} }
+
+// resolve is the one resolution step for a spec a client sent: normalize,
+// then the budget check, then the key, each exactly once per request.
+// Every generating path (POST /v1/structures, POST /v1/jobs, the
+// /v1/instantiate inline-spec branch, Generate, job resume) calls it
+// before forwarding or touching the cache; its errors are the client's
+// (HTTP 400). The caller's MemberWeights are never rewritten: the folds
+// normalize makes land on a private copy.
+func (s *Server) resolve(spec GenerateSpec) (resolvedSpec, error) {
+	spec.MemberWeights = slices.Clone(spec.MemberWeights)
+	if err := spec.normalize(); err != nil {
+		return resolvedSpec{}, err
+	}
+	if err := s.checkBudget(spec); err != nil {
+		return resolvedSpec{}, err
+	}
+	return keyed(spec), nil
 }
 
 // evictLocked shrinks the cache to its bound, least-recently-used first.
@@ -683,15 +714,14 @@ func (s *Server) evictLocked() {
 // span the inline work should nest under (0 = the trace root): the first
 // caller runs the inline read-through, so its trace gets the store-read
 // and compile spans; later callers land on the same entry and wait.
-func (s *Server) ensure(tr *obs.Trace, parent obs.SpanID, spec GenerateSpec, priority int) (*entry, bool) {
-	key := spec.key()
+func (s *Server) ensure(tr *obs.Trace, parent obs.SpanID, rs resolvedSpec, priority int) (*entry, bool) {
 	s.mu.Lock()
-	e, hit := s.cache[key]
+	e, hit := s.cache[rs.key]
 	wasDone := hit && e.done
 	if !hit {
-		e = &entry{key: key, spec: spec, priority: priority, ready: make(chan struct{})}
+		e = &entry{resolvedSpec: rs, priority: priority, ready: make(chan struct{})}
 		e.elem = s.order.PushFront(e)
-		s.cache[key] = e
+		s.cache[rs.key] = e
 		s.evictLocked()
 	} else {
 		s.order.MoveToFront(e.elem)
@@ -724,7 +754,7 @@ func (s *Server) startWork(tr *obs.Trace, parent obs.SpanID, e *entry) {
 	// missing entry) fall through to a fresh generation. The job history
 	// still records the materialization (publishDone), so /v1/jobs answers
 	// for warm keys too.
-	if p, stats, err := s.loadFromStore(tr, parent, e.spec); err == nil && p != nil {
+	if p, stats, err := s.loadFromStore(tr, parent, e.resolvedSpec); err == nil && p != nil {
 		s.publishDone(e, specJSON, p, stats)
 		return
 	}
@@ -866,7 +896,7 @@ func (s *Server) startPortfolioWork(tr *obs.Trace, parent obs.SpanID, e *entry) 
 	members := make([]*entry, k)
 	memberIDs := make([]string, 0, k)
 	for i := 0; i < k; i++ {
-		me, _ := s.ensure(tr, parent, e.spec.memberSpec(i), e.priority)
+		me, _ := s.ensure(tr, parent, keyed(e.spec.memberSpec(i)), e.priority)
 		members[i] = me
 		s.mu.Lock()
 		if me.jobID != "" {
@@ -943,12 +973,12 @@ func mustSpecJSON(spec GenerateSpec) json.RawMessage {
 // key share a single run. The returned bool reports a true cache hit —
 // the entry had already finished generating — not merely landing on an
 // in-flight entry and waiting for it.
-func (s *Server) structureFor(ctx context.Context, spec GenerateSpec) (*entry, bool, error) {
+func (s *Server) structureFor(ctx context.Context, rs resolvedSpec) (*entry, bool, error) {
 	tr := obs.TraceFrom(ctx)
-	tr.Annotate(spec.key())
+	tr.Annotate(rs.key)
 	cacheSpan := tr.StartSpan(obs.StageCache)
-	cacheSpan.SetKey(spec.key())
-	e, wasDone := s.ensure(tr, cacheSpan.SpanID(), spec, 0)
+	cacheSpan.SetKey(rs.key)
+	e, wasDone := s.ensure(tr, cacheSpan.SpanID(), rs, 0)
 	// The cache span covers lookup plus any inline read-through ensure ran
 	// on this goroutine (store_read/compile nest under it by design).
 	s.metrics.endSpan(cacheSpan)
@@ -1041,15 +1071,15 @@ func (s *Server) publishDone(e *entry, specJSON []byte, p *mps.Portfolio, stats 
 // treat as a miss after counting it. The read and compile phases record as store_read
 // and compile spans on tr (nil for background callers), nested under
 // parent.
-func (s *Server) loadFromStore(tr *obs.Trace, parent obs.SpanID, spec GenerateSpec) (*mps.Portfolio, mps.Stats, error) {
+func (s *Server) loadFromStore(tr *obs.Trace, parent obs.SpanID, rs resolvedSpec) (*mps.Portfolio, mps.Stats, error) {
 	if s.cfg.Store == nil {
 		return nil, mps.Stats{}, nil
 	}
-	key := spec.key()
+	key := rs.key
 	if _, ok := s.cfg.Store.Stat(key); !ok {
 		return nil, mps.Stats{}, nil
 	}
-	circuit, err := mps.Benchmark(spec.Circuit)
+	circuit, err := mps.Benchmark(rs.spec.Circuit)
 	if err != nil {
 		return nil, mps.Stats{}, err
 	}
@@ -1062,7 +1092,7 @@ func (s *Server) loadFromStore(tr *obs.Trace, parent obs.SpanID, spec GenerateSp
 		s.logf("store: loading %s: %v (regenerating)", key, err)
 		return nil, mps.Stats{}, err
 	}
-	st := spec.withBackup(cs)
+	st := rs.spec.withBackup(cs)
 	// Materialize the compiled query index before the entry publishes so
 	// no instantiate request ever pays compile cost. Store files are v3
 	// (placements + compiled tables), so this is a cache hit — core.Load
@@ -1152,10 +1182,11 @@ func (s *Server) Warm(limit int) (int, error) {
 // assembled from the cached members — and only when the portfolio and
 // those members all fit the budget.
 func (s *Server) warmRow(row store.Meta, budget int) int {
-	spec, ok := specFromOptions(row.Key, row.Options, s.logf)
+	rs, ok := specFromOptions(row.Key, row.Options, s.logf)
 	if !ok {
 		return 0
 	}
+	spec := rs.spec
 	k := len(row.Members)
 	if (k > 0) != (spec.Portfolio > 1) || (k > 0 && k != spec.Portfolio) {
 		s.logf("store: row %s lists %d members, its spec wants %d (skipping)", row.Key, k, spec.Portfolio)
@@ -1166,15 +1197,15 @@ func (s *Server) warmRow(row store.Meta, budget int) int {
 	var stats mps.Stats
 	var err error
 	if k == 0 {
-		if p, stats, err = s.loadFromStore(nil, 0, spec); err != nil || p == nil {
+		if p, stats, err = s.loadFromStore(nil, 0, rs); err != nil || p == nil {
 			return 0 // already logged and counted where it failed
 		}
 	} else {
 		var uncached []store.Meta
 		for i, key := range row.Members {
-			if key != spec.memberSpec(i).key() {
+			if want := spec.memberSpec(i).key(); key != want {
 				s.logf("store: row %s member %d is %s, its spec derives %s (skipping)",
-					row.Key, i, key, spec.memberSpec(i).key())
+					row.Key, i, key, want)
 				return 0
 			}
 			if _, ok := s.lookup(key); !ok {
@@ -1215,7 +1246,7 @@ func (s *Server) warmRow(row store.Meta, budget int) int {
 	}
 	// Warm walks newest first, so each entry goes behind the ones before
 	// it and the front of the LRU stays the newest.
-	if s.install(spec, p, stats, jobID, true) {
+	if s.install(rs, p, stats, jobID, true) {
 		installed++
 	}
 	return installed
@@ -1225,8 +1256,8 @@ func (s *Server) warmRow(row store.Meta, budget int) int {
 // warm-start and store-less accept paths — unless the key is already
 // cached, and reports whether it did. lru inserts the entry as the least
 // recently used instead of the most.
-func (s *Server) install(spec GenerateSpec, p *mps.Portfolio, stats mps.Stats, jobID string, lru bool) bool {
-	e := &entry{key: spec.key(), spec: spec, jobID: jobID, ready: make(chan struct{})}
+func (s *Server) install(rs resolvedSpec, p *mps.Portfolio, stats mps.Stats, jobID string, lru bool) bool {
+	e := &entry{resolvedSpec: rs, jobID: jobID, ready: make(chan struct{})}
 	e.set(p, stats, nil)
 	// Consume the entry's start and close ready before publication so a
 	// later request treats it as finished; the field writes above
@@ -1261,15 +1292,12 @@ func (s *Server) ResumeInterrupted() int {
 			s.logf("resume %s: decoding spec: %v", snap.ID, err)
 			continue
 		}
-		if err := spec.normalize(); err != nil {
+		rs, err := s.resolve(spec)
+		if err != nil {
 			s.logf("resume %s: %v", snap.ID, err)
 			continue
 		}
-		if err := s.checkBudget(spec); err != nil {
-			s.logf("resume %s: %v", snap.ID, err)
-			continue
-		}
-		e, _ := s.ensure(nil, 0, spec, snap.Priority)
+		e, _ := s.ensure(nil, 0, rs, snap.Priority)
 		e.waiters.Add(-1) // fire and forget: nobody waits on a resumed job
 		resumed++
 	}
@@ -1420,54 +1448,40 @@ type PersistedInfo struct {
 	Cached bool `json:"cached"`
 }
 
-// clientError wraps validation failures so HTTP handlers can map them to
-// 400 while generation failures stay 500.
-type clientError struct{ err error }
-
-func (e clientError) Error() string { return e.err.Error() }
-func (e clientError) Unwrap() error { return e.err }
-
-// generateErrorStatus maps a generate/structureFor error to its HTTP
-// status: 400 for validation, 503 for requests shed while queued or
-// cancelled mid-run and for a shutting-down scheduler (so the access log
-// does not count shed load as server faults), 500 otherwise.
+// generateErrorStatus maps a structureFor error to its HTTP status: 503
+// for requests shed while queued or cancelled mid-run and for a
+// shutting-down scheduler (so the access log does not count shed load as
+// server faults), 500 otherwise. Validation errors never get here: they
+// come from resolve, which every handler answers with 400 itself.
 func generateErrorStatus(err error) int {
-	var ce clientError
-	switch {
-	case errors.As(err, &ce):
-		return http.StatusBadRequest
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded),
-		errors.Is(err, jobs.ErrCancelled), errors.Is(err, jobs.ErrClosed):
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
+		errors.Is(err, jobs.ErrCancelled) || errors.Is(err, jobs.ErrClosed) {
 		return http.StatusServiceUnavailable
 	}
 	return http.StatusInternalServerError
 }
 
 // Generate generates (or fetches from cache) the structure for spec — the
-// single generation entry point shared by POST /v1/structures, cmd/mpsd's
-// -preload flag, and tests.
+// programmatic entry point behind cmd/mpsd's -preload flag — resolving
+// the spec exactly as POST /v1/structures does.
 func (s *Server) Generate(spec GenerateSpec) (StructureInfo, error) {
 	return s.generate(context.Background(), spec)
 }
 
-// entryFor is the single validation + generation pipeline behind every
-// generating path (POST /v1/structures, the /v1/instantiate inline-spec
-// branch, Generate): normalize, budget-check, then fetch or generate.
-// Validation failures come back as clientError; a request abandoned while
-// queued for a generation slot is dropped.
-func (s *Server) entryFor(ctx context.Context, spec GenerateSpec) (*entry, bool, error) {
-	if err := spec.normalize(); err != nil {
-		return nil, false, clientError{err}
-	}
-	if err := s.checkBudget(spec); err != nil {
-		return nil, false, clientError{err}
-	}
-	return s.structureFor(ctx, spec)
-}
-
 // generate is Generate with a cancellation context.
 func (s *Server) generate(ctx context.Context, spec GenerateSpec) (StructureInfo, error) {
-	e, hit, err := s.entryFor(ctx, spec)
+	rs, err := s.resolve(spec)
+	if err != nil {
+		return StructureInfo{}, err
+	}
+	return s.structureInfo(ctx, rs)
+}
+
+// structureInfo fetches or generates a resolved spec's structure and
+// describes it; a request abandoned while its job is still queued drops
+// the job.
+func (s *Server) structureInfo(ctx context.Context, rs resolvedSpec) (StructureInfo, error) {
+	e, hit, err := s.structureFor(ctx, rs)
 	if err != nil {
 		return StructureInfo{}, err
 	}
@@ -1532,13 +1546,16 @@ func (s *Server) handleStructures(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		// Cluster routing: generation belongs on the key's owner. A copy
-		// normalizes for the key (generate re-validates the original).
-		if norm := spec; norm.normalize() == nil &&
-			s.maybeForward(w, r, norm.key(), false, body) {
+		rs, err := s.resolve(spec)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		info, err := s.generate(r.Context(), spec)
+		// Cluster routing: generation belongs on the key's owner.
+		if s.maybeForward(w, r, rs.key, false, body) {
+			return
+		}
+		info, err := s.structureInfo(r.Context(), rs)
 		if err != nil {
 			writeError(w, generateErrorStatus(err), err.Error())
 			return
@@ -1589,8 +1606,8 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	spec := req.Spec
-	if err := spec.normalize(); err != nil {
+	rs, err := s.resolve(req.Spec)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -1598,14 +1615,11 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	// lives on the key's owner. The relayed response's ServedBy header
 	// names the node to poll GET /v1/jobs/{id} on (job ids are
 	// node-local).
-	if s.maybeForward(w, r, spec.key(), false, body) {
+	if s.maybeForward(w, r, rs.key, false, body) {
 		return
 	}
-	if err := s.checkBudget(spec); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	e, _ := s.ensure(obs.TraceFrom(r.Context()), 0, spec, req.Priority)
+	spec := rs.spec
+	e, _ := s.ensure(obs.TraceFrom(r.Context()), 0, rs, req.Priority)
 	defer e.waiters.Add(-1)
 	s.mu.Lock()
 	id := e.jobID
@@ -1763,6 +1777,15 @@ type queryResult struct {
 	Error       string `json:"error,omitempty"`
 }
 
+// instantiateResponse is the /v1/instantiate answer. Its fields are
+// declared in the order the wire format has always carried them
+// (alphabetical, as encoding/json orders map keys).
+type instantiateResponse struct {
+	Key     string        `json:"key"`
+	Results []queryResult `json:"results"`
+	Served  int           `json:"served"`
+}
+
 func (s *Server) handleInstantiate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
@@ -1826,12 +1849,15 @@ func (s *Server) handleInstantiate(w http.ResponseWriter, r *http.Request) {
 		}
 		e = resolved
 	case req.Spec != nil:
-		if norm := *req.Spec; norm.normalize() == nil &&
-			s.maybeForward(w, r, norm.key(), true, body) {
+		rs, err := s.resolve(*req.Spec)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		var err error
-		e, _, err = s.entryFor(ctx, *req.Spec)
+		if s.maybeForward(w, r, rs.key, true, body) {
+			return
+		}
+		e, _, err = s.structureFor(ctx, rs)
 		if err != nil {
 			writeError(w, generateErrorStatus(err), err.Error())
 			return
@@ -1884,11 +1910,7 @@ func (s *Server) handleInstantiate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	encSpan := tr.StartSpan(obs.StageEncode)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"key":     e.key,
-		"served":  served,
-		"results": results,
-	})
+	writeJSON(w, http.StatusOK, instantiateResponse{Key: e.key, Results: results, Served: served})
 	s.metrics.endSpan(encSpan)
 }
 

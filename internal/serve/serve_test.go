@@ -50,6 +50,10 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(cfg)
 	ts := httptest.NewServer(s.Handler())
+	// Cleanups run last-registered first: Close, then the listener, then
+	// Flush, so no background store write outlives the test and races the
+	// removal of its TempDir store.
+	t.Cleanup(s.Flush)
 	t.Cleanup(ts.Close)
 	t.Cleanup(s.Close)
 	return s, ts
